@@ -257,10 +257,8 @@ impl Workload for BlcrWorkload {
     }
 
     fn setup(&mut self, k: &mut Kernel) -> u64 {
-        let image = k.registry.get("blcr").expect("blcr registered");
         let mut spec = SpawnSpec::new("blcr", Box::new(Blcr));
         spec.heap_pages = 16;
-        let pid = k.spawn(spec).expect("spawn blcr");
         let args = vec![
             self.pages.to_string(),
             match self.mode {
@@ -268,12 +266,7 @@ impl Workload for BlcrWorkload {
                 CkptMode::Disk => "disk".to_string(),
             },
         ];
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(k, pid);
-            (image.fresh)(&mut api, &args)
-        };
-        k.proc_mut(pid).expect("pid").program = Some(fresh);
-        pid
+        crate::exec(k, spec, &args)
     }
 
     fn drive(&mut self, k: &mut Kernel, _pid: u64) {

@@ -336,7 +336,6 @@ impl Workload for JoeWorkload {
         let term = k.create_terminal().expect("terminal");
         self.term = Some(term);
         let name = self.prog_name();
-        let image = k.registry.get(name).expect("joe registered");
         let mut spec = SpawnSpec::new(
             name,
             Box::new(Joe {
@@ -345,13 +344,7 @@ impl Workload for JoeWorkload {
         );
         spec.heap_pages = 128;
         spec.term = Some(term);
-        let pid = k.spawn(spec).expect("spawn joe");
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(k, pid);
-            (image.fresh)(&mut api, &[])
-        };
-        k.proc_mut(pid).expect("pid").program = Some(fresh);
-        pid
+        crate::exec(k, spec, &[])
     }
 
     fn drive(&mut self, k: &mut Kernel, _pid: u64) {

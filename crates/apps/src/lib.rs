@@ -25,7 +25,36 @@ pub mod workload;
 
 pub use workload::{make_workload, AppMeta, VerifyResult, Workload};
 
-use ow_kernel::ProgramRegistry;
+use ow_kernel::{
+    syscall::KernelApi, Kernel, KernelConfig, KernelResult, ProgramRegistry, SpawnSpec,
+};
+use ow_simhw::machine::MachineConfig;
+
+/// Cold-boots a kernel with every application installed on a fresh
+/// [`ow_kernel::standard_machine`] — the first stage of every crash
+/// experiment and bench table.
+pub fn boot(machine: MachineConfig, config: KernelConfig) -> KernelResult<Kernel> {
+    Kernel::boot_cold(
+        ow_kernel::standard_machine(machine),
+        config,
+        full_registry(),
+    )
+}
+
+/// Starts registered program `spec.name` the way `exec` does: spawns the
+/// process, then builds its program through the registry image's fresh
+/// constructor with `args`. Returns the pid.
+///
+/// # Panics
+///
+/// Panics when the program is not registered or the spawn fails.
+pub fn exec(k: &mut Kernel, spec: SpawnSpec, args: &[String]) -> u64 {
+    let image = k.registry.get(&spec.name).expect("program registered");
+    let pid = k.spawn(spec).expect("spawn");
+    let fresh = (image.fresh)(&mut KernelApi::new(k, pid), args);
+    k.proc_mut(pid).expect("pid").program = Some(fresh);
+    pid
+}
 
 /// Builds the program registry with every application installed — the
 /// "on-disk executables" both kernels can instantiate (§3.1: same

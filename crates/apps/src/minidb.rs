@@ -357,15 +357,9 @@ impl Workload for MiniDbWorkload {
     }
 
     fn setup(&mut self, k: &mut Kernel) -> u64 {
-        let image = k.registry.get("mysqld").expect("mysqld registered");
         let mut spec = SpawnSpec::new("mysqld", Box::new(MiniDb));
         spec.heap_pages = 16;
-        let pid = k.spawn(spec).expect("spawn mysqld");
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(k, pid);
-            (image.fresh)(&mut api, &[])
-        };
-        k.proc_mut(pid).expect("pid").program = Some(fresh);
+        let pid = crate::exec(k, spec, &[]);
         // Let the server open its socket.
         for _ in 0..4 {
             k.run_step();
@@ -521,16 +515,10 @@ mod tests {
         };
         assert_eq!(args, vec![DUMP_FILE.to_string()]);
 
-        let image = k.registry.get("mysqld").unwrap();
         let mut spec = SpawnSpec::new("mysqld", Box::new(MiniDb));
         spec.heap_pages = 16;
         k.reap(pid).unwrap();
-        let pid2 = k.spawn(spec).unwrap();
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(&mut k, pid2);
-            (image.fresh)(&mut api, &args)
-        };
-        k.proc_mut(pid2).unwrap().program = Some(fresh);
+        let pid2 = crate::exec(&mut k, spec, &args);
         let after = read_db(&mut k, pid2).unwrap();
         assert_eq!(before, after);
     }

@@ -268,16 +268,9 @@ impl Workload for ViWorkload {
     fn setup(&mut self, k: &mut Kernel) -> u64 {
         let term = k.create_terminal().expect("terminal");
         self.term = Some(term);
-        let image = k.registry.get("vi").expect("vi registered");
         let mut spec = SpawnSpec::new("vi", Box::new(Vi));
         spec.term = Some(term);
-        let pid = k.spawn(spec).expect("spawn vi");
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(k, pid);
-            (image.fresh)(&mut api, &[])
-        };
-        k.proc_mut(pid).expect("pid").program = Some(fresh);
-        pid
+        crate::exec(k, spec, &[])
     }
 
     fn drive(&mut self, k: &mut Kernel, pid: u64) {

@@ -264,15 +264,9 @@ impl Workload for VolanoWorkload {
     }
 
     fn setup(&mut self, k: &mut Kernel) -> u64 {
-        let image = k.registry.get("volano").expect("volano registered");
         let mut spec = SpawnSpec::new("volano", Box::new(Volano));
         spec.heap_pages = 16;
-        let pid = k.spawn(spec).expect("spawn volano");
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(k, pid);
-            (image.fresh)(&mut api, &[])
-        };
-        k.proc_mut(pid).expect("pid").program = Some(fresh);
+        let pid = crate::exec(k, spec, &[]);
         for _ in 0..4 {
             k.run_step();
         }

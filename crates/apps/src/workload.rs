@@ -53,7 +53,30 @@ pub trait Workload {
 
     /// Verifies the application's data against the shadow model.
     fn verify(&mut self, k: &mut Kernel, pid: u64) -> VerifyResult;
+
+    /// Spawns the application and drives `batches` batches; returns its
+    /// pid.
+    fn start(&mut self, k: &mut Kernel, batches: u32) -> u64 {
+        let pid = self.setup(k);
+        for _ in 0..batches {
+            self.drive(k, pid);
+        }
+        pid
+    }
+
+    /// After a microreboot: reconnects, then lets the resurrected
+    /// application settle (finish reloads, reopen sockets) before it is
+    /// verified or driven again.
+    fn settle(&mut self, k: &mut Kernel, pid: u64) {
+        self.reconnect(k, pid);
+        for _ in 0..SETTLE_STEPS {
+            k.run_step();
+        }
+    }
 }
+
+/// Scheduler steps [`Workload::settle`] runs after reconnecting.
+const SETTLE_STEPS: u32 = 8;
 
 impl<W: Workload + ?Sized> Workload for Box<W> {
     fn name(&self) -> &'static str {

@@ -9,13 +9,13 @@ use ow_apps::blcr::{BlcrWorkload, CkptMode};
 use ow_apps::{make_workload, Workload};
 use ow_core::{OtherworldConfig, ResurrectionStrategy};
 use ow_faultinject::parallel_map;
-use ow_kernel::{Kernel, KernelConfig};
+use ow_kernel::KernelConfig;
 
 /// Simulated cycles consumed by one full checkpoint in the given mode.
 fn checkpoint_cycles(pages: u64, mode: CkptMode) -> u64 {
     let mut k = ow_bench::boot_eval(false);
     let mut w = BlcrWorkload::new(pages, mode);
-    let pid = w.setup(&mut k);
+    w.setup(&mut k);
     // One full pass is `pages` steps; a checkpoint fires at the end of
     // every CKPT_PERIOD-th pass. Measure the *second* checkpoint — the
     // steady state, after the file's blocks are allocated.
@@ -30,19 +30,14 @@ fn checkpoint_cycles(pages: u64, mode: CkptMode) -> u64 {
     let before = k.machine.clock.now();
     k.run_step();
     let plain = k.machine.clock.now() - before;
-    let _ = pid;
     ckpt.saturating_sub(plain)
 }
 
 /// Cycles to drive one workload window under a kernel config.
 fn window_cycles(config: KernelConfig, app: &str, batches: u32) -> u64 {
-    let machine = ow_kernel::standard_machine(ow_bench::eval_machine_config());
-    let mut k = Kernel::boot_cold(machine, config, ow_apps::full_registry()).expect("boot");
+    let mut k = ow_apps::boot(ow_bench::eval_machine_config(), config).expect("boot");
     let mut w = make_workload(app, 13);
-    let pid = w.setup(&mut k);
-    for _ in 0..8 {
-        w.drive(&mut k, pid);
-    }
+    let pid = w.start(&mut k, 8);
     let c0 = k.machine.clock.now();
     for _ in 0..batches {
         w.drive(&mut k, pid);
@@ -53,14 +48,8 @@ fn window_cycles(config: KernelConfig, app: &str, batches: u32) -> u64 {
 /// Footnote-3 measurement for one page count and strategy.
 fn materialization(pages: u64, strategy: ResurrectionStrategy) -> (f64, ow_core::ProcReport) {
     let mut k = ow_bench::boot_eval(false);
-    let image = k.registry.get("blcr").expect("blcr registered");
     let spec = ow_kernel::SpawnSpec::new("blcr", Box::new(ow_apps::blcr::Blcr));
-    let pid = k.spawn(spec).expect("spawn");
-    let fresh = {
-        let mut api = ow_kernel::syscall::KernelApi::new(&mut k, pid);
-        (image.fresh)(&mut api, &[pages.to_string(), "memory".to_string()])
-    };
-    k.proc_mut(pid).expect("pid").program = Some(fresh);
+    ow_apps::exec(&mut k, spec, &[pages.to_string(), "memory".to_string()]);
     // Touch all data pages once.
     for _ in 0..pages {
         k.run_step();
@@ -79,7 +68,8 @@ fn main() {
     // they ride the same deterministic parallel engine as the campaigns
     // (`--jobs N` / `OW_JOBS`; output is identical for every job count
     // because results are merged in item order before printing).
-    let jobs = ow_faultinject::jobs_from_args(&std::env::args().collect::<Vec<_>>());
+    let args: Vec<String> = std::env::args().collect();
+    let jobs = ow_bench::cli::flag(&args, "--jobs").unwrap_or(0);
 
     println!("§5.4: in-memory vs on-disk checkpointing (simulated cycles per checkpoint)");
     let ckpt_pages = [16u64, 64, 128];

@@ -15,22 +15,16 @@
 
 #![forbid(unsafe_code)]
 
+use ow_bench::cli;
 use ow_faultinject::crashpoint::{
     campaign_crashpoints, crashpoints_json, discover_points, CrashpointCampaignConfig,
     CRASHPOINT_SEED,
 };
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
 
-    if args.iter().any(|a| a == "--list") {
+    if cli::switch(&args, "--list") {
         println!("{} registered crash points:", ow_crashpoint::REGISTRY.len());
         for p in ow_crashpoint::REGISTRY {
             println!("  {:<40} [{}]", p.label, p.area.name());
@@ -38,16 +32,11 @@ fn main() {
         return;
     }
 
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(CRASHPOINT_SEED);
-    let apps: Vec<String> = flag_value(&args, "--app")
-        .map(|a| vec![a])
-        .unwrap_or_default();
-    let points: Vec<String> = flag_value(&args, "--point")
-        .map(|p| vec![p])
-        .unwrap_or_default();
-    let modes: Vec<bool> = match flag_value(&args, "--mode").as_deref() {
+    let seed = cli::seed(&args).unwrap_or(CRASHPOINT_SEED);
+    let apps: Vec<String> = cli::flag(&args, "--app").into_iter().collect();
+    let points: Vec<String> = cli::flag(&args, "--point").into_iter().collect();
+    let json_path: Option<String> = cli::flag(&args, "--json");
+    let modes: Vec<bool> = match cli::flag::<String>(&args, "--mode").as_deref() {
         Some("protected") => vec![true],
         Some("unprotected") => vec![false],
         Some(other) => {
@@ -57,7 +46,7 @@ fn main() {
         None => Vec::new(),
     };
 
-    if args.iter().any(|a| a == "--discover") {
+    if cli::switch(&args, "--discover") {
         let apps = if apps.is_empty() {
             ow_apps::workload::TABLE5_APPS
                 .iter()
@@ -93,10 +82,11 @@ fn main() {
         apps,
         modes,
         seed,
-        jobs: ow_faultinject::jobs_from_args(&args),
-        morph: ow_bench::morph_from_args(&args),
-        strategy: ow_bench::strategy_from_args(&args),
-        rollback: args.iter().any(|a| a == "--rollback"),
+        jobs: cli::flag(&args, "--jobs").unwrap_or(0),
+        morph: cli::flag(&args, "--morph").unwrap_or(ow_core::MorphMode::Cold),
+        strategy: cli::flag(&args, "--strategy")
+            .unwrap_or(ow_core::ResurrectionStrategy::CopyPages),
+        rollback: cli::switch(&args, "--rollback"),
     };
     let t0 = std::time::Instant::now();
     let res = campaign_crashpoints(&cfg);
@@ -137,10 +127,8 @@ fn main() {
         wall.as_secs_f64()
     );
 
-    if let Some(path) = flag_value(&args, "--json") {
-        let doc = crashpoints_json(&cfg, &res);
-        std::fs::write(&path, doc.to_pretty()).expect("write --json file");
-        println!("wrote {path}");
+    if let Some(path) = json_path {
+        cli::write_json(&path, &crashpoints_json(&cfg, &res));
     }
 
     if res.unexpected > 0 {

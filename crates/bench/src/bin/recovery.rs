@@ -11,26 +11,14 @@
 
 #![forbid(unsafe_code)]
 
+use ow_bench::cli;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let experiments: usize = args
-        .iter()
-        .position(|a| a == "--experiments")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let jobs = ow_faultinject::jobs_from_args(&args);
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(ow_bench::tables::RECOVERY_SEED);
+    let experiments = cli::flag(&args, "--experiments").unwrap_or(40);
+    let json_path: Option<String> = cli::flag(&args, "--json");
+    let jobs = cli::flag(&args, "--jobs").unwrap_or(0);
+    let seed = cli::seed(&args).unwrap_or(ow_bench::tables::RECOVERY_SEED);
 
     let result = ow_bench::tables::recovery_table(experiments, seed, jobs);
 
@@ -76,8 +64,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let doc = ow_bench::tables::recovery_json(&result);
-        std::fs::write(&path, doc.to_pretty()).expect("write --json file");
-        println!("wrote {path}");
+        cli::write_json(&path, &ow_bench::tables::recovery_json(&result));
     }
 }

@@ -4,20 +4,13 @@
 
 #![forbid(unsafe_code)]
 
+use ow_bench::cli;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let batches: u32 = args
-        .iter()
-        .position(|a| a == "--batches")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let jobs = ow_faultinject::jobs_from_args(&args);
+    let batches = cli::flag(&args, "--batches").unwrap_or(200);
+    let json_path: Option<String> = cli::flag(&args, "--json");
+    let jobs = cli::flag(&args, "--jobs").unwrap_or(0);
 
     let rows = ow_bench::tables::table3_jobs(batches, jobs);
     let printable: Vec<Vec<String>> = rows
@@ -46,8 +39,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let doc = ow_bench::tables::table3_json(&rows);
-        std::fs::write(&path, doc.to_pretty()).expect("write --json file");
-        println!("wrote {path}");
+        cli::write_json(&path, &ow_bench::tables::table3_json(&rows));
     }
 }

@@ -1,13 +1,12 @@
 //! Regenerates Table 4: size of the data read by the crash kernel during
-//! the resurrection process, plus §4's footprint ratio.
+//! the resurrection process, plus §4's footprint ratio. `--batches N` sets
+//! how long each application runs before the crash (default 120).
 
 #![forbid(unsafe_code)]
 
 fn main() {
-    let batches: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
+    let args: Vec<String> = std::env::args().collect();
+    let batches = ow_bench::cli::flag(&args, "--batches").unwrap_or(120);
     let rows = ow_bench::tables::table4(batches);
     let printable: Vec<Vec<String>> = rows
         .iter()

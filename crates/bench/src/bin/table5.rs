@@ -7,32 +7,19 @@
 
 #![forbid(unsafe_code)]
 
+use ow_bench::cli;
 use ow_kernel::RobustnessFixes;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let experiments: usize = args
-        .iter()
-        .position(|a| a == "--experiments")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400);
-    let ablation = args.iter().any(|a| a == "--ablation");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let jobs = ow_faultinject::jobs_from_args(&args);
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(ow_bench::tables::TABLE5_SEED);
-
-    let morph = ow_bench::morph_from_args(&args);
-    let strategy = ow_bench::strategy_from_args(&args);
+    let experiments = cli::flag(&args, "--experiments").unwrap_or(400);
+    let ablation = cli::switch(&args, "--ablation");
+    let json_path: Option<String> = cli::flag(&args, "--json");
+    let jobs = cli::flag(&args, "--jobs").unwrap_or(0);
+    let seed = cli::seed(&args).unwrap_or(ow_bench::tables::TABLE5_SEED);
+    let morph = cli::flag(&args, "--morph").unwrap_or(ow_core::MorphMode::Cold);
+    let strategy =
+        cli::flag(&args, "--strategy").unwrap_or(ow_core::ResurrectionStrategy::CopyPages);
 
     let fixes = if ablation {
         RobustnessFixes::legacy()
@@ -91,8 +78,6 @@ fn main() {
     // Machine-readable export: aggregates, per-experiment trace-derived
     // cause annotations, and one full recovered flight record.
     if let Some(path) = json_path {
-        let doc = ow_bench::tables::table5_json(&rows);
-        std::fs::write(&path, doc.to_pretty()).expect("write --json file");
-        println!("wrote {path}");
+        cli::write_json(&path, &ow_bench::tables::table5_json(&rows));
     }
 }

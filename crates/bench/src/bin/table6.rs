@@ -10,15 +10,13 @@
 
 #![forbid(unsafe_code)]
 
+use ow_bench::cli;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let jobs = ow_faultinject::jobs_from_args(&args);
+    let fast = cli::switch(&args, "--fast");
+    let json_path: Option<String> = cli::flag(&args, "--json");
+    let jobs = cli::flag(&args, "--jobs").unwrap_or(0);
 
     if fast {
         let rows: Vec<Vec<String>> = ow_bench::tables::table6_fast()
@@ -73,8 +71,6 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let doc = ow_bench::tables::table6_json(&rows);
-        std::fs::write(&path, doc.to_pretty()).expect("write --json file");
-        println!("wrote {path}");
+        cli::write_json(&path, &ow_bench::tables::table6_json(&rows));
     }
 }

@@ -1,17 +1,19 @@
 //! Benchmark harness for the Otherworld evaluation.
 //!
 //! One binary per table of the paper (`table2` .. `table6`) regenerates the
-//! corresponding results on the simulator substrate, and the criterion
-//! benches cover the microbenchmark claims (protection overhead,
-//! resurrection speed and the copy-vs-map ablation, in-memory vs on-disk
-//! checkpointing, handoff robustness 89%→97%).
+//! corresponding results on the simulator substrate, `claims` the in-text
+//! claims (§5.4 checkpointing, footnote 3's copy-vs-map ablation, §4's
+//! checksum overhead), `recovery` the supervisor ablation and `crashpoints`
+//! the crash-point matrix. Every binary parses its flags through [`cli`].
+//! Host time is measured by the separate `benchmark/` package.
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod perf;
 pub mod tables;
 
-use ow_kernel::{Kernel, KernelConfig, RobustnessFixes};
+use ow_kernel::{Kernel, KernelConfig};
 use ow_simhw::{machine::MachineConfig, CostModel};
 
 /// The machine used for performance evaluation (costs enabled).
@@ -27,59 +29,11 @@ pub fn eval_machine_config() -> MachineConfig {
 
 /// Boots an evaluation kernel with the full application registry.
 pub fn boot_eval(user_protection: bool) -> Kernel {
-    boot_eval_on(user_protection, true)
-}
-
-/// Boots an evaluation kernel on tagged or untagged TLB hardware (Table 3
-/// compares the two).
-pub fn boot_eval_on(user_protection: bool, tlb_tagged: bool) -> Kernel {
-    let machine = ow_kernel::standard_machine(MachineConfig {
-        tlb_tagged,
-        ..eval_machine_config()
-    });
     let config = KernelConfig {
         user_protection,
-        fixes: RobustnessFixes::default(),
         ..KernelConfig::default()
     };
-    Kernel::boot_cold(machine, config, ow_apps::full_registry()).expect("boot")
-}
-
-/// Parses `--morph cold|warm` from a bin's argument list (default cold),
-/// selecting the morph half of the four-configuration recovery matrix.
-pub fn morph_from_args(args: &[String]) -> ow_core::MorphMode {
-    match args
-        .iter()
-        .position(|a| a == "--morph")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("cold") => ow_core::MorphMode::Cold,
-        Some("warm") => ow_core::MorphMode::Warm,
-        Some(other) => {
-            eprintln!("unknown --morph {other} (use cold|warm)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses `--strategy copy|map|lazy` from a bin's argument list (default
-/// copy), selecting the page-materialization half of the recovery matrix.
-pub fn strategy_from_args(args: &[String]) -> ow_core::ResurrectionStrategy {
-    match args
-        .iter()
-        .position(|a| a == "--strategy")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("copy") => ow_core::ResurrectionStrategy::CopyPages,
-        Some("map") => ow_core::ResurrectionStrategy::MapPages,
-        Some("lazy") => ow_core::ResurrectionStrategy::Lazy,
-        Some(other) => {
-            eprintln!("unknown --strategy {other} (use copy|map|lazy)");
-            std::process::exit(2);
-        }
-    }
+    ow_apps::boot(eval_machine_config(), config).expect("boot")
 }
 
 /// Formats a table row.
@@ -106,39 +60,5 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("{}", row(&rule, &widths));
     for r in rows {
         println!("{}", row(r, &widths));
-    }
-}
-
-/// A minimal host-time measurement harness for the `benches/` targets.
-///
-/// The criterion dependency would make the offline build reach for the
-/// network, and these benches only need "run N times, report wall time":
-/// the paper's actual numbers all come from *simulated* cycles via the
-/// `tableN` binaries.
-pub mod timing {
-    use std::time::Instant;
-
-    /// Runs `f` `iters` times (after one warmup) and prints min/mean/max
-    /// wall time per iteration.
-    pub fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
-        std::hint::black_box(f());
-        let mut samples = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            samples.push(t0.elapsed());
-        }
-        let min = samples.iter().min().unwrap();
-        let max = samples.iter().max().unwrap();
-        let mean = samples.iter().sum::<std::time::Duration>() / iters;
-        println!("{name:<40} min {min:>10.2?}  mean {mean:>10.2?}  max {max:>10.2?}");
-    }
-
-    /// Iteration count: 10 by default, overridable via `OW_BENCH_ITERS`.
-    pub fn iters() -> u32 {
-        std::env::var("OW_BENCH_ITERS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(10)
     }
 }

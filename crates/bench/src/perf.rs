@@ -5,8 +5,9 @@
 //! reports the TLB-miss increase and execution-time overhead — on tagged
 //! (ASID) or untagged (flush-per-switch) TLB hardware.
 
-use crate::boot_eval_on;
+use crate::eval_machine_config;
 use ow_apps::Workload;
+use ow_kernel::KernelConfig;
 
 /// One measured configuration.
 #[derive(Debug, Clone, Copy)]
@@ -60,11 +61,14 @@ fn measure_once<W: Workload>(
     warmup_batches: u32,
     measured_batches: u32,
 ) -> PerfSample {
-    let mut k = boot_eval_on(protection, tlb_tagged);
-    let pid = workload.setup(&mut k);
-    for _ in 0..warmup_batches {
-        workload.drive(&mut k, pid);
-    }
+    let mut machine = eval_machine_config();
+    machine.tlb_tagged = tlb_tagged;
+    let config = KernelConfig {
+        user_protection: protection,
+        ..KernelConfig::default()
+    };
+    let mut k = ow_apps::boot(machine, config).expect("boot");
+    let pid = workload.start(&mut k, warmup_batches);
     let c0 = k.machine.clock.now();
     k.machine.mmu.reset_stats();
     let p0 = k.pt_switches;
@@ -80,17 +84,6 @@ fn measure_once<W: Workload>(
         asid_switches: stats.asid_switches,
         pt_switches: k.pt_switches - p0,
     }
-}
-
-/// Measures a workload with and without user-space protection on tagged
-/// TLB hardware (the default machine).
-pub fn protection_overhead<W: Workload>(
-    make: impl Fn(u64) -> W,
-    seed: u64,
-    warmup_batches: u32,
-    measured_batches: u32,
-) -> PerfRow {
-    protection_overhead_on(make, seed, warmup_batches, measured_batches, true)
 }
 
 /// Measures a workload with and without user-space protection, selecting

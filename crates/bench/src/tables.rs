@@ -142,10 +142,7 @@ pub fn table4(batches_per_app: u32) -> Vec<Table4Row> {
         .map(|&app| {
             let mut k = boot_eval(false);
             let mut w = make_workload(app, 4);
-            let pid = w.setup(&mut k);
-            for _ in 0..batches_per_app {
-                w.drive(&mut k, pid);
-            }
+            let pid = w.start(&mut k, batches_per_app);
             let (present, swapped) = k.page_census(pid).unwrap_or((0, 0));
             let footprint = (present + swapped) * ow_simhw::PAGE_BYTES;
             k.do_panic(PanicCause::Oops("table4 measurement"));
@@ -515,11 +512,6 @@ pub struct Table6MatrixRow {
     pub cells: Vec<Table6Cell>,
 }
 
-/// Measures Table 6 for `app` (`"shell"`, `"mysqld"`, or `"httpd"`).
-pub fn table6_row(app: &'static str) -> Table6Row {
-    table6_row_with(app, false)
-}
-
 /// Table 6 with the §7 fast-crash-boot optimization toggled (legacy
 /// cold/eager pipeline).
 pub fn table6_row_with(app: &'static str, fast_crash_boot: bool) -> Table6Row {
@@ -552,21 +544,14 @@ pub fn table6_measure(
     let mut k = boot_eval(false);
     let (boot_seconds, mut w_opt, pid) = if app == "shell" {
         let term = k.create_terminal().expect("terminal");
-        let image = k.registry.get("shell").expect("shell registered");
         let mut spec = SpawnSpec::new("shell", Box::new(ow_apps::shell::Shell));
         spec.term = Some(term);
-        let pid = k.spawn(spec).expect("spawn shell");
-        let fresh = {
-            let mut api = ow_kernel::syscall::KernelApi::new(&mut k, pid);
-            (image.fresh)(&mut api, &[])
-        };
-        k.proc_mut(pid).expect("pid").program = Some(fresh);
+        let pid = ow_apps::exec(&mut k, spec, &[]);
         assert!(shell_operational(&mut k, term));
         (k.seconds(), None, pid)
     } else {
         let mut w = make_workload(app, 21);
-        let pid = w.setup(&mut k);
-        w.drive(&mut k, pid); // first request served
+        let pid = w.start(&mut k, 1); // first request served
         (k.seconds(), Some(w), pid)
     };
 
@@ -603,10 +588,7 @@ pub fn table6_measure(
         assert!(shell_operational(&mut k2, term));
     } else if let Some(w) = w_opt.as_mut() {
         let new_pid = k2.procs.first().map(|p| p.pid).expect("app alive");
-        w.reconnect(&mut k2, new_pid);
-        for _ in 0..8 {
-            k2.run_step();
-        }
+        w.settle(&mut k2, new_pid);
         w.drive(&mut k2, new_pid);
     }
     let interruption_seconds = k2.seconds() - t_fail;
@@ -619,11 +601,6 @@ pub fn table6_measure(
             adoption: report.adoption,
         },
     )
-}
-
-/// All Table 6 rows (legacy cold/eager pipeline).
-pub fn table6() -> Vec<Table6Row> {
-    TABLE6_APPS.into_iter().map(table6_row).collect()
 }
 
 /// Table 6 with the fast-crash-boot optimization (§7 future work).
@@ -744,15 +721,11 @@ pub fn table6_json(rows: &[Table6MatrixRow]) -> Value {
     ])
 }
 
-/// Reusable: one microreboot of a driven app, returning the report (used by
-/// criterion benches).
+/// One microreboot of a driven app, returning the report (the sample flight
+/// record of the Table 5 export).
 pub fn one_microreboot(app: &str, batches: u32, config: &OtherworldConfig) -> MicrorebootReport {
     let mut k = boot_eval(false);
-    let mut w = make_workload(app, 17);
-    let pid = w.setup(&mut k);
-    for _ in 0..batches {
-        w.drive(&mut k, pid);
-    }
+    make_workload(app, 17).start(&mut k, batches);
     k.do_panic(PanicCause::Oops("bench"));
     let (_k2, report) = microreboot(k, config).expect("microreboot");
     report

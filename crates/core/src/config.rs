@@ -2,6 +2,7 @@
 
 use crate::policy::ResurrectionPolicy;
 use ow_kernel::KernelConfig;
+use std::str::FromStr;
 
 /// How the crash kernel materializes the resurrected process's pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +30,61 @@ pub enum MorphMode {
     /// bitmap, swap-slot map and page cache against their CRCs and adopt
     /// whatever checks out, falling back per-structure to the cold rebuild.
     Warm,
+}
+
+impl ResurrectionStrategy {
+    /// Every strategy with its stable name (CLI flags and JSON exports).
+    pub const NAMES: [(ResurrectionStrategy, &'static str); 3] = [
+        (ResurrectionStrategy::CopyPages, "copy"),
+        (ResurrectionStrategy::MapPages, "map"),
+        (ResurrectionStrategy::Lazy, "lazy"),
+    ];
+
+    /// The stable name.
+    pub fn name(self) -> &'static str {
+        name_of(&Self::NAMES, self)
+    }
+}
+
+impl FromStr for ResurrectionStrategy {
+    type Err = String;
+    fn from_str(name: &str) -> Result<Self, String> {
+        named(&Self::NAMES, name)
+    }
+}
+
+impl MorphMode {
+    /// Every mode with its stable name (CLI flags and JSON exports).
+    pub const NAMES: [(MorphMode, &'static str); 2] =
+        [(MorphMode::Cold, "cold"), (MorphMode::Warm, "warm")];
+
+    /// The stable name.
+    pub fn name(self) -> &'static str {
+        name_of(&Self::NAMES, self)
+    }
+}
+
+impl FromStr for MorphMode {
+    type Err = String;
+    fn from_str(name: &str) -> Result<Self, String> {
+        named(&Self::NAMES, name)
+    }
+}
+
+fn name_of<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table
+        .iter()
+        .find(|(v, _)| *v == value)
+        .map_or("", |&(_, n)| n)
+}
+
+fn named<T: Copy>(table: &[(T, &'static str)], name: &str) -> Result<T, String> {
+    let names: Vec<&str> = table.iter().map(|&(_, n)| n).collect();
+    table
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|&(v, _)| v)
+        .ok_or_else(|| format!("expected {}", names.join("|")))
 }
 
 /// One rung of the resurrection supervisor's degradation ladder, from the

@@ -13,14 +13,15 @@
 
 use crate::engine;
 use crate::faults::{inject_batch, DamageReport};
+use crate::pipeline::{campaign_machine_config, recover_flight, resume, Resumed};
 use ow_apps::{VerifyResult, Workload};
 use ow_core::{
     microreboot, MicrorebootFailure, MorphMode, OtherworldConfig, PolicySource, ResurrectionPolicy,
     ResurrectionStrategy,
 };
-use ow_kernel::{Kernel, KernelConfig, RobustnessFixes};
-use ow_simhw::{machine::MachineConfig, stream_seed, CostModel, SimRng};
-use ow_trace::{EventCounts, FlightRecord};
+use ow_kernel::{KernelConfig, RobustnessFixes};
+use ow_simhw::{stream_seed, SimRng};
+use ow_trace::EventCounts;
 
 /// How many trailing trace events go into each outcome's cause annotation.
 /// A full handoff emits six panic-path milestones, so ten leaves room for
@@ -187,25 +188,6 @@ impl CampaignResult {
     }
 }
 
-pub(crate) fn machine_config() -> MachineConfig {
-    MachineConfig {
-        ram_frames: 8192, // 32 MiB
-        cpus: 2,
-        tlb_entries: 64,
-        tlb_tagged: true,
-        cost: CostModel::zero_io(),
-    }
-}
-
-/// Recovers the flight record from a kernel's physical memory exactly the
-/// way the crash kernel does: locate the trace region through the handoff
-/// block, then run the validated per-slot reader over it.
-pub(crate) fn recover_flight(k: &Kernel) -> FlightRecord {
-    ow_kernel::layout::HandoffBlock::read(&k.machine.phys)
-        .map(|(h, _)| FlightRecord::recover(&k.machine.phys, h.trace_base, h.trace_frames))
-        .unwrap_or_default()
-}
-
 /// Runs a single experiment with `seed`.
 ///
 /// The injected-fault sequence draws from [`fault_stream_seed`]`(seed)` —
@@ -223,8 +205,7 @@ pub fn run_experiment<W: Workload>(
         fixes: cfg.fixes,
         ..KernelConfig::default()
     };
-    let machine = ow_kernel::standard_machine(machine_config());
-    let mut k = match Kernel::boot_cold(machine, kernel_config, ow_apps::full_registry()) {
+    let mut k = match ow_apps::boot(campaign_machine_config(), kernel_config) {
         Ok(k) => k,
         Err(e) => {
             return (
@@ -267,34 +248,23 @@ pub fn run_experiment<W: Workload>(
         }
     }
 
+    // Recover the dead kernel's flight record *before* the microreboot, so
+    // even boot failures (where no crash kernel ever runs) get a cause
+    // annotation.
+    let flight = recover_flight(&k);
+    let classified = |outcome: Outcome| ExperimentRecord {
+        outcome,
+        cause: flight.tail_summary(CAUSE_TAIL_EVENTS),
+        events: flight.event_counts(),
+    };
     if k.panicked.is_none() {
         // The faults never produced a kernel fault, so §6 discards the
         // experiment — regardless of the application's health: a wild
         // write can silently corrupt user data without ever crashing the
         // kernel, and the paper's methodology only classifies experiments
         // that ended in a kernel fault.
-        let flight = recover_flight(&k);
-        return (
-            ExperimentRecord {
-                outcome: Outcome::NoCrash,
-                cause: flight.tail_summary(CAUSE_TAIL_EVENTS),
-                events: flight.event_counts(),
-            },
-            damage,
-        );
+        return (classified(Outcome::NoCrash), damage);
     }
-
-    // Recover the dead kernel's flight record *before* the microreboot, so
-    // even boot failures (where no crash kernel ever runs) get a cause
-    // annotation.
-    let flight = recover_flight(&k);
-    let cause = flight.tail_summary(CAUSE_TAIL_EVENTS);
-    let events = flight.event_counts();
-    let classified = |outcome: Outcome| ExperimentRecord {
-        outcome,
-        cause: cause.clone(),
-        events,
-    };
 
     // Microreboot. The resurrection supervisor is disabled here on purpose:
     // Table 5 measures the paper's original single-shot recovery semantics,
@@ -313,10 +283,7 @@ pub fn run_experiment<W: Workload>(
     };
     let (mut k2, report) = match microreboot(k, &ow_config) {
         Ok(ok) => ok,
-        Err(MicrorebootFailure::SystemHalted(why)) => {
-            return (classified(Outcome::BootFailure(why)), damage)
-        }
-        Err(MicrorebootFailure::CrashBootFailed(why)) => {
+        Err(MicrorebootFailure::SystemHalted(why) | MicrorebootFailure::CrashBootFailed(why)) => {
             return (classified(Outcome::BootFailure(why)), damage)
         }
         Err(MicrorebootFailure::RecoveryFailed(why)) => {
@@ -325,37 +292,20 @@ pub fn run_experiment<W: Workload>(
         Err(MicrorebootFailure::NotPanicked) => unreachable!("panicked checked above"),
     };
 
-    let Some(proc_report) = report.proc_named(workload.name()) else {
-        return (
-            classified(Outcome::ResurrectFailure("process list unreadable".into())),
-            damage,
-        );
+    let outcome = match resume(workload, &mut k2, &report) {
+        Resumed::Absent => Outcome::ResurrectFailure("process list unreadable".into()),
+        Resumed::Lost(why) => Outcome::ResurrectFailure(why),
+        Resumed::Unreadable => Outcome::ResurrectFailure("descriptor unreadable".into()),
+        // The supervisor is off, so no process comes back restarted clean:
+        // every verified process was resurrected.
+        Resumed::Verified { verdict, .. } => match verdict {
+            Ok(VerifyResult::Intact) => Outcome::Success,
+            Ok(VerifyResult::Corrupted(why)) => Outcome::DataCorruption(why),
+            Ok(VerifyResult::Missing) => Outcome::ResurrectFailure("gone after restart".into()),
+            Err(msg) => Outcome::ResurrectFailure(format!("harness panic contained: {msg}")),
+        },
     };
-    if !proc_report.outcome.is_success() {
-        return (
-            classified(Outcome::ResurrectFailure(format!(
-                "{:?}",
-                proc_report.outcome
-            ))),
-            damage,
-        );
-    }
-    let new_pid = proc_report.new_pid.expect("successful outcomes have a pid");
-
-    // Let the application settle (finish reloads, reopen sockets), then
-    // verify its data against the remote log.
-    workload.reconnect(&mut k2, new_pid);
-    for _ in 0..8 {
-        k2.run_step();
-    }
-    match workload.verify(&mut k2, new_pid) {
-        VerifyResult::Intact => (classified(Outcome::Success), damage),
-        VerifyResult::Corrupted(why) => (classified(Outcome::DataCorruption(why)), damage),
-        VerifyResult::Missing => (
-            classified(Outcome::ResurrectFailure("gone after restart".into())),
-            damage,
-        ),
-    }
+    (classified(outcome), damage)
 }
 
 /// Runs a whole campaign: experiments until `effective_experiments` of them

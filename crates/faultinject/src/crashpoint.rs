@@ -39,9 +39,10 @@
 //!   the supervisor contains the fault and retries at a weaker ladder
 //!   rung; the app must come back alive, degraded.
 
-use crate::campaign::{machine_config, recover_flight, workload_stream_seed};
+use crate::campaign::workload_stream_seed;
 use crate::engine;
-use ow_apps::VerifyResult;
+use crate::pipeline::{campaign_machine_config, recover_flight, resume, Resumed};
+use ow_apps::{VerifyResult, Workload};
 use ow_core::supervisor;
 use ow_core::{
     microreboot, EnginePanicFault, LadderRung, MicrorebootFailure, MorphMode, OtherworldConfig,
@@ -363,6 +364,23 @@ fn failure_text(e: &MicrorebootFailure) -> String {
     }
 }
 
+/// Boots a campaign machine in the cell's protection mode and starts
+/// `app` with [`WARMUP_BATCHES`] batches; returns kernel, workload and pid.
+fn warm_up(
+    app: &str,
+    protected: bool,
+    seed: u64,
+) -> ow_kernel::KernelResult<(Kernel, Box<dyn Workload>, u64)> {
+    let config = KernelConfig {
+        user_protection: protected,
+        ..KernelConfig::default()
+    };
+    let mut k = ow_apps::boot(campaign_machine_config(), config)?;
+    let mut workload = ow_apps::make_workload(app, workload_stream_seed(seed));
+    let pid = workload.start(&mut k, WARMUP_BATCHES);
+    Ok((k, workload, pid))
+}
+
 /// Runs one cell: boot, warm up, arm, drive, crash, microreboot, classify.
 /// Everything happens on the calling thread (the arming is thread-scoped).
 pub fn run_cell(spec: &CellSpec) -> CellRecord {
@@ -378,36 +396,25 @@ pub fn run_cell(spec: &CellSpec) -> CellRecord {
             expected,
         }
     };
+    let skipped = |outcome, fired, phase| record(outcome, fired, phase, "skipped");
     if ow_crashpoint::spec(&spec.label).is_none() {
-        return record(
+        return skipped(
             CellOutcome::Unexpected("label not in registry".into()),
             false,
             "none",
-            "skipped",
         );
     }
 
-    let kernel_config = KernelConfig {
-        user_protection: spec.protected,
-        ..KernelConfig::default()
-    };
-    let machine = ow_kernel::standard_machine(machine_config());
-    let mut k = match Kernel::boot_cold(machine, kernel_config, ow_apps::full_registry()) {
-        Ok(k) => k,
+    let (mut k, mut workload, pid) = match warm_up(&spec.app, spec.protected, spec.seed) {
+        Ok(started) => started,
         Err(e) => {
-            return record(
+            return skipped(
                 CellOutcome::Unexpected(format!("cold boot: {e}")),
                 false,
                 "none",
-                "skipped",
             )
         }
     };
-    let mut workload = ow_apps::make_workload(&spec.app, workload_stream_seed(spec.seed));
-    let pid = workload.setup(&mut k);
-    for _ in 0..WARMUP_BATCHES {
-        workload.drive(&mut k, pid);
-    }
 
     ow_crashpoint::arm(&spec.label, 1);
     let mut phase = "none";
@@ -424,11 +431,10 @@ pub fn run_cell(spec: &CellSpec) -> CellRecord {
         Err(msg) => match ow_crashpoint::fired_label(&msg) {
             Some(l) if l == spec.label => phase = "workload",
             _ => {
-                return record(
+                return skipped(
                     CellOutcome::Unexpected(format!("foreign panic during drive: {msg}")),
                     false,
                     "workload",
-                    "skipped",
                 )
             }
         },
@@ -450,34 +456,22 @@ pub fn run_cell(spec: &CellSpec) -> CellRecord {
                     k.do_panic(cause);
                 }
                 _ => {
-                    return record(
+                    return skipped(
                         CellOutcome::Unexpected(format!("foreign panic in do_panic: {msg}")),
                         phase != "none",
                         phase,
-                        "skipped",
                     )
                 }
             },
         }
     }
-    match &k.panicked {
-        Some(PanicOutcome::Handoff(_)) => {}
-        Some(PanicOutcome::SystemHalted(why)) => {
-            return record(
-                CellOutcome::Unexpected(format!("panic path halted: {why}")),
-                phase != "none",
-                phase,
-                "skipped",
-            )
-        }
-        None => {
-            return record(
-                CellOutcome::Unexpected("kernel did not panic".into()),
-                phase != "none",
-                phase,
-                "skipped",
-            )
-        }
+    let not_handed_off = match &k.panicked {
+        Some(PanicOutcome::Handoff(_)) => None,
+        Some(PanicOutcome::SystemHalted(why)) => Some(format!("panic path halted: {why}")),
+        None => Some("kernel did not panic".to_string()),
+    };
+    if let Some(why) = not_handed_off {
+        return skipped(CellOutcome::Unexpected(why), phase != "none", phase);
     }
 
     // Flight-record invariant: the dead kernel's panic milestones must be
@@ -502,73 +496,27 @@ pub fn run_cell(spec: &CellSpec) -> CellRecord {
     // must not fire inside the *new* kernel while we check ground truth.
     ow_crashpoint::reset();
 
+    let lost = |outcome| skipped(outcome, fired, phase);
     let (mut k2, report) = match result {
         Ok(ok) => ok,
-        Err(e) => {
-            return record(
-                CellOutcome::Abandoned(failure_text(&e)),
-                fired,
-                phase,
-                "skipped",
-            )
-        }
+        Err(e) => return lost(CellOutcome::Abandoned(failure_text(&e))),
     };
     if panic_steps == 0 {
-        return record(
-            CellOutcome::Unexpected("flight record lost the panic milestones".into()),
-            fired,
-            phase,
-            "skipped",
-        );
+        let why = "flight record lost the panic milestones";
+        return lost(CellOutcome::Unexpected(why.into()));
     }
-    let Some(pr) = report.proc_named(workload.name()) else {
-        return record(
-            CellOutcome::ProcFailed("not in recovery report".into()),
-            fired,
-            phase,
-            "skipped",
-        );
-    };
-    let rung = pr.rung;
-    let outcome_desc = format!("{:?}", pr.outcome);
-    let survived =
-        pr.outcome.is_success() || matches!(pr.outcome, ow_core::ProcOutcome::RestartedClean);
-    if !survived {
-        return record(
-            CellOutcome::ProcFailed(outcome_desc),
-            fired,
-            phase,
-            "skipped",
-        );
-    }
-    let Some(new_pid) = pr.new_pid else {
-        return record(
-            CellOutcome::ProcFailed(outcome_desc),
-            fired,
-            phase,
-            "skipped",
-        );
-    };
-
-    // Descriptor invariant: the resurrected process must read back through
-    // the checksummed descriptor codec.
-    if k2.read_desc(new_pid).is_err() {
-        return record(
-            CellOutcome::Unexpected("resurrected descriptor unreadable".into()),
-            fired,
-            phase,
-            "skipped",
-        );
-    }
-
     // App ground truth against the shadow model.
-    let verified = supervisor::contain(|| {
-        workload.reconnect(&mut k2, new_pid);
-        for _ in 0..8 {
-            k2.run_step();
+    let (rung, verified) = match resume(&mut workload, &mut k2, &report) {
+        Resumed::Absent => return lost(CellOutcome::ProcFailed("not in recovery report".into())),
+        Resumed::Lost(why) => return lost(CellOutcome::ProcFailed(why)),
+        // Descriptor invariant: the resurrected process must read back
+        // through the checksummed descriptor codec.
+        Resumed::Unreadable => {
+            let why = "resurrected descriptor unreadable";
+            return lost(CellOutcome::Unexpected(why.into()));
         }
-        workload.verify(&mut k2, new_pid)
-    });
+        Resumed::Verified { rung, verdict } => (rung, verdict),
+    };
     let verify = match &verified {
         Ok(VerifyResult::Intact) => "intact",
         Ok(VerifyResult::Corrupted(_)) => "corrupted",
@@ -604,19 +552,9 @@ pub fn run_cell(spec: &CellSpec) -> CellRecord {
 /// sorted by label.
 pub fn discover_points(app: &str, protected: bool, seed: u64) -> Vec<(&'static str, u64)> {
     ow_crashpoint::reset();
-    let kernel_config = KernelConfig {
-        user_protection: protected,
-        ..KernelConfig::default()
-    };
-    let machine = ow_kernel::standard_machine(machine_config());
-    let Ok(mut k) = Kernel::boot_cold(machine, kernel_config, ow_apps::full_registry()) else {
+    let Ok((mut k, mut workload, pid)) = warm_up(app, protected, seed) else {
         return Vec::new();
     };
-    let mut workload = ow_apps::make_workload(app, workload_stream_seed(seed));
-    let pid = workload.setup(&mut k);
-    for _ in 0..WARMUP_BATCHES {
-        workload.drive(&mut k, pid);
-    }
     ow_crashpoint::start_counting();
     for _ in 0..DRIVE_BATCHES {
         workload.drive(&mut k, pid);
@@ -786,21 +724,12 @@ pub fn crashpoints_json(cfg: &CrashpointCampaignConfig, res: &CrashpointCampaign
         .into_iter()
         .map(|(k, n)| (k.to_string(), Value::from(n as f64)))
         .collect();
-    let morph = match cfg.morph {
-        MorphMode::Cold => "cold",
-        MorphMode::Warm => "warm",
-    };
-    let strategy = match cfg.strategy {
-        ResurrectionStrategy::CopyPages => "copy",
-        ResurrectionStrategy::MapPages => "map",
-        ResurrectionStrategy::Lazy => "lazy",
-    };
     Value::obj([
         ("schema_version", Value::from(1.0)),
         ("campaign", Value::Str("crashpoints".to_string())),
         ("seed", Value::Str(format!("{:#018x}", cfg.seed))),
-        ("morph", Value::Str(morph.to_string())),
-        ("strategy", Value::Str(strategy.to_string())),
+        ("morph", Value::from(cfg.morph.name())),
+        ("strategy", Value::from(cfg.strategy.name())),
         ("rollback", Value::Bool(cfg.rollback)),
         ("cells_total", Value::from(res.cells.len() as f64)),
         ("unexpected", Value::from(res.unexpected as f64)),

@@ -66,16 +66,6 @@ pub fn resolve_jobs(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Parses a `--jobs N` argument pair out of a CLI argument list, falling
-/// back to `0` (= auto) when absent or malformed.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Runs `run(0)`, `run(1)`, … across `jobs` worker threads, delivering
 /// each result to `sink` **in index order**. `sink` returns `true` to keep
 /// consuming; returning `false` stops the engine (workers quit after their
@@ -309,11 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn jobs_args_parsing() {
-        let a = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&a(&["--jobs", "4"])), 4);
-        assert_eq!(jobs_from_args(&a(&["--experiments", "9"])), 0);
-        assert_eq!(jobs_from_args(&a(&["--jobs", "bogus"])), 0);
+    fn explicit_job_counts_resolve_to_themselves() {
         assert_eq!(resolve_jobs(3), 3);
         assert!(resolve_jobs(0) >= 1);
     }

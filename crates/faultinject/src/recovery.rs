@@ -17,6 +17,7 @@
 
 use crate::campaign::{experiment_seed, workload_stream_seed};
 use crate::engine;
+use crate::pipeline::campaign_machine_config;
 use ow_apps::Workload;
 use ow_core::{
     microreboot, reader, EnginePanicFault, LadderRung, MicrorebootReport, OtherworldConfig,
@@ -30,9 +31,7 @@ use ow_kernel::{
     },
     Kernel, KernelConfig, PanicOutcome,
 };
-use ow_simhw::{
-    clock::CYCLES_PER_SEC, machine::MachineConfig, stream_seed, CostModel, PhysAddr, SimRng,
-};
+use ow_simhw::{clock::CYCLES_PER_SEC, stream_seed, PhysAddr, SimRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Stream tag deriving the fault-arming substream of a recovery-experiment
@@ -250,29 +249,14 @@ impl Default for RecoveryCampaignConfig {
 /// processes give the panic-storm path (threshold 3) a process to spare.
 const APPS: [&str; 4] = ["vi", "mysqld", "httpd", "joe"];
 
-fn machine_config() -> MachineConfig {
-    MachineConfig {
-        ram_frames: 8192, // 32 MiB
-        cpus: 2,
-        tlb_entries: 64,
-        tlb_tagged: true,
-        cost: CostModel::zero_io(),
-    }
-}
-
 /// Boots the standard four-app system, drives each workload a little, and
 /// panics the kernel — the deterministic "dead kernel" every recovery
 /// experiment starts from.
 fn build_dead_system(seed: u64) -> Kernel {
-    let machine = ow_kernel::standard_machine(machine_config());
-    let mut k = Kernel::boot_cold(machine, KernelConfig::default(), ow_apps::full_registry())
-        .expect("cold boot");
+    let mut k =
+        ow_apps::boot(campaign_machine_config(), KernelConfig::default()).expect("cold boot");
     for name in APPS {
-        let mut w = ow_apps::make_workload(name, workload_stream_seed(seed));
-        let pid = w.setup(&mut k);
-        for _ in 0..3 {
-            w.drive(&mut k, pid);
-        }
+        ow_apps::make_workload(name, workload_stream_seed(seed)).start(&mut k, 3);
     }
     k.do_panic(ow_kernel::PanicCause::Oops("recovery-campaign crash"));
     k
@@ -503,17 +487,19 @@ pub fn run_recovery_experiment(
     }
 }
 
-/// One sharded work item: a paired experiment's raw results before the
-/// seed-ordered merge.
+/// The arms every experiment runs, as (supervisor, rollback): supervisor
+/// on, supervisor off, and rollback-in-place on top of the supervisor.
+const ARMS: [(bool, bool); 3] = [(true, false), (false, false), (true, true)];
+
+/// One sharded work item: a paired experiment's raw results, one per arm of
+/// [`ARMS`], before the seed-ordered merge.
 struct PairedRun {
     kind: RecoveryFaultKind,
-    on: (RecoveryOutcome, u64, u64, bool),
-    off: (RecoveryOutcome, u64, u64, bool),
-    rollback: (RecoveryOutcome, u64, u64, bool),
+    arms: [(RecoveryOutcome, u64, u64, bool); 3],
 }
 
 /// Runs the full paired campaign: each seeded experiment draws one fault
-/// kind and runs three times (supervisor on, supervisor off, rollback
+/// kind and runs once per arm (supervisor on, supervisor off, rollback
 /// enabled) on identically built systems.
 ///
 /// Experiments are sharded across `cfg.jobs` workers by the deterministic
@@ -533,37 +519,31 @@ pub fn run_recovery_campaign(cfg: &RecoveryCampaignConfig) -> RecoveryCampaignRe
             let kind = RecoveryFaultKind::draw(&mut rng);
             PairedRun {
                 kind,
-                on: run_recovery_experiment(seed, kind, true, false),
-                off: run_recovery_experiment(seed, kind, false, false),
-                rollback: run_recovery_experiment(seed, kind, true, true),
+                arms: ARMS.map(|(supervisor, rollback)| {
+                    run_recovery_experiment(seed, kind, supervisor, rollback)
+                }),
             }
         },
         |_, item| {
             let run = item.unwrap_or(PairedRun {
-                // The worker itself panicked: count every side as a whole
-                // failure and an escaped panic, keep the campaign alive.
+                // The worker itself panicked: count every arm as a whole
+                // failure and one escaped panic, keep the campaign alive.
                 kind: RecoveryFaultKind::EnginePanic,
-                on: (RecoveryOutcome::WholeFailure, 0, 0, true),
-                off: (RecoveryOutcome::WholeFailure, 0, 0, false),
-                rollback: (RecoveryOutcome::WholeFailure, 0, 0, false),
+                arms: [true, false, false]
+                    .map(|escaped| (RecoveryOutcome::WholeFailure, 0, 0, escaped)),
             });
-            let (on, panics, fires, escaped_on) = run.on;
-            result.with_supervisor.count(on);
-            result.with_supervisor.contained_panics += panics;
-            result.with_supervisor.watchdog_fires += fires;
-
-            let (off, panics, fires, escaped_off) = run.off;
-            result.without_supervisor.count(off);
-            result.without_supervisor.contained_panics += panics;
-            result.without_supervisor.watchdog_fires += fires;
-
-            let (rb, panics, fires, escaped_rb) = run.rollback;
-            result.with_rollback.count(rb);
-            result.with_rollback.contained_panics += panics;
-            result.with_rollback.watchdog_fires += fires;
-
-            result.panic_escapes +=
-                usize::from(escaped_on) + usize::from(escaped_off) + usize::from(escaped_rb);
+            let sides = [
+                &mut result.with_supervisor,
+                &mut result.without_supervisor,
+                &mut result.with_rollback,
+            ];
+            for (side, &(outcome, panics, fires, escaped)) in sides.into_iter().zip(&run.arms) {
+                side.count(outcome);
+                side.contained_panics += panics;
+                side.watchdog_fires += fires;
+                result.panic_escapes += usize::from(escaped);
+            }
+            let [on, off, rb] = run.arms.map(|(outcome, ..)| outcome);
             result.records.push(RecoveryRecord {
                 fault: run.kind,
                 with_supervisor: on,

@@ -114,6 +114,24 @@ fn every_effective_outcome_carries_a_trace_cause() {
 
 #[test]
 fn single_experiment_cause_ends_at_the_panic_path() {
+    // Table 5 at seed 5, vi, unprotected, experiment 10886: the wild writes
+    // leave a CRC-valid handoff block whose crash reservation runs past
+    // RAM. Sizing the crash kernel's allocator from it used to abort the
+    // whole process, which no containment boundary can catch; the crash
+    // boot now refuses it.
+    let replay = CampaignConfig {
+        seed: 5,
+        ..CampaignConfig::default()
+    };
+    let seed = ow_faultinject::experiment_seed(replay.seed, 10886);
+    let mut w = ViWorkload::new(ow_faultinject::workload_stream_seed(seed));
+    let (rec, _damage) = ow_faultinject::run_experiment(&mut w, &replay, seed);
+    assert_eq!(
+        rec.outcome,
+        ow_faultinject::Outcome::BootFailure("invalid: crash reservation outside RAM".into())
+    );
+    assert!(rec.cause.ends_with("panic:handoff"), "cause: {}", rec.cause);
+
     let cfg = CampaignConfig::default();
     // Scan seeds until one crashes (most do).
     for seed in 100..140 {

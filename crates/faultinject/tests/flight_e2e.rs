@@ -1,29 +1,19 @@
 //! The flight recorder survives panic → handoff → recovery end-to-end for
 //! every Table 5 application workload.
 
-use ow_apps::{make_workload, workload::TABLE5_APPS};
+use ow_apps::{make_workload, workload::TABLE5_APPS, Workload};
 use ow_core::{microreboot, OtherworldConfig, PolicySource, ResurrectionPolicy};
-use ow_kernel::{Kernel, KernelConfig, PanicCause};
-use ow_simhw::{machine::MachineConfig, CostModel};
+use ow_faultinject::campaign_machine_config;
+use ow_kernel::{KernelConfig, PanicCause};
 use ow_trace::Counter;
 
 #[test]
 fn flight_survives_for_every_app_workload() {
     for &app in TABLE5_APPS.iter() {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 8192, // 32 MiB, as in the campaigns
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: CostModel::zero_io(),
-        });
-        let mut k = Kernel::boot_cold(machine, KernelConfig::default(), ow_apps::full_registry())
-            .expect("cold boot");
+        let mut k =
+            ow_apps::boot(campaign_machine_config(), KernelConfig::default()).expect("cold boot");
         let mut w = make_workload(app, 9);
-        let pid = w.setup(&mut k);
-        for _ in 0..6 {
-            w.drive(&mut k, pid);
-        }
+        w.start(&mut k, 6);
         k.do_panic(PanicCause::Oops("e2e flight"));
 
         let config = OtherworldConfig {

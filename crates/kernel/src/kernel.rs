@@ -546,12 +546,20 @@ impl Kernel {
                     Box::new(machine),
                 ));
             }
-            (
-                kernel_end,
-                h.crash_base + h.crash_frames,
-                h.trace_base,
-                h.trace_frames,
-            )
+            // A wild write can leave a CRC-valid block whose reservation
+            // runs past RAM; sizing the allocator from it would abort the
+            // host instead of failing this boot.
+            let Some(crash_end) = h
+                .crash_base
+                .checked_add(h.crash_frames)
+                .filter(|&end| end <= total_frames)
+            else {
+                return Err((
+                    KernelError::Inval("crash reservation outside RAM"),
+                    Box::new(machine),
+                ));
+            };
+            (kernel_end, crash_end, h.trace_base, h.trace_frames)
         };
         if gen_base >= gen_end {
             return Err((

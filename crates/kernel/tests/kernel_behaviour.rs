@@ -2,9 +2,11 @@
 //! demand paging and swap pressure, syscall restart semantics, memory
 //! reclamation after process exit, and morphing.
 
-use ow_kernel::layout::{oflags, TERM_COLS, TERM_ROWS};
+use ow_kernel::layout::{oflags, HandoffBlock, TERM_COLS, TERM_ROWS};
 use ow_kernel::program::{Program, ProgramRegistry, StepResult, UserApi};
-use ow_kernel::{Errno, Kernel, KernelConfig, PanicCause, SpawnSpec, PROG_STATE_VADDR};
+use ow_kernel::{
+    Errno, Kernel, KernelConfig, KernelError, PanicCause, SpawnSpec, PROG_STATE_VADDR,
+};
 use ow_simhw::machine::MachineConfig;
 
 struct Nop;
@@ -221,6 +223,33 @@ fn morph_reclaims_dead_kernel_memory() {
     assert!(k2.crash_region.is_some());
     let out = k2.do_panic(PanicCause::Oops("second"));
     assert!(matches!(out, ow_kernel::PanicOutcome::Handoff(_)));
+}
+
+#[test]
+fn crash_boot_refuses_a_reservation_past_ram() {
+    // A wild write that keeps the handoff block's CRC valid but stretches
+    // the reservation past RAM (or past u64) must fail the boot, not abort
+    // the host while sizing the allocator.
+    for crash_frames in [4096, u64::MAX] {
+        let mut k = boot();
+        k.do_panic(PanicCause::Oops("bounds test"));
+        let Some(ow_kernel::PanicOutcome::Handoff(info)) = k.panicked.clone() else {
+            panic!("no handoff");
+        };
+        let mut machine = k.machine;
+        let (mut h, _) = HandoffBlock::read(&machine.phys).unwrap();
+        assert!(h.crash_base > 0 && machine.frames() == 4096);
+        h.crash_frames = crash_frames;
+        h.write(&mut machine.phys).unwrap();
+        let err = Kernel::boot_crash(
+            machine,
+            KernelConfig::default(),
+            ProgramRegistry::new(),
+            info,
+        )
+        .unwrap_err();
+        assert_eq!(err, KernelError::Inval("crash reservation outside RAM"));
+    }
 }
 
 /// A program that exercises the ERESTART convention.

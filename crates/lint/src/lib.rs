@@ -208,6 +208,10 @@ impl Config {
                 "campaign_crashpoints",
                 "run_indexed",
                 "parallel_map",
+                "table3_jobs",
+                "table3_json",
+                "table4",
+                "crashpoints_json",
                 "table5_json",
                 "recovery_json",
                 "table6_json",

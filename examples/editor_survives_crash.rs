@@ -60,10 +60,7 @@ fn run_editor(unfixed: bool) -> (bool, String) {
     let Some(new_pid) = new_pid else {
         return (false, summary);
     };
-    user.reconnect(ow.kernel_mut(), new_pid);
-    for _ in 0..6 {
-        ow.kernel_mut().run_step();
-    }
+    user.settle(ow.kernel_mut(), new_pid);
     let alive = ow.kernel().procs.iter().any(|p| p.name.starts_with("joe"));
     if !alive {
         return (false, summary);

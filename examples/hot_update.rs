@@ -65,10 +65,7 @@ fn main() {
 
     // The database survived the update.
     let new_pid = ow.kernel().procs[0].pid;
-    client.reconnect(ow.kernel_mut(), new_pid);
-    for _ in 0..8 {
-        ow.kernel_mut().run_step();
-    }
+    client.settle(ow.kernel_mut(), new_pid);
     assert_eq!(
         client.verify(ow.kernel_mut(), new_pid),
         VerifyResult::Intact

@@ -54,10 +54,7 @@ fn main() {
     // The restarted server reloaded the dump; the client reconnects and
     // finds every row it wrote.
     let new_pid = new_pid.expect("restarted pid");
-    client.reconnect(ow.kernel_mut(), new_pid);
-    for _ in 0..8 {
-        ow.kernel_mut().run_step();
-    }
+    client.settle(ow.kernel_mut(), new_pid);
     assert_eq!(
         client.verify(ow.kernel_mut(), new_pid),
         VerifyResult::Intact

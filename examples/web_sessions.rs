@@ -47,10 +47,7 @@ fn main() {
     );
 
     let new_pid = pr.new_pid.expect("restarted pid");
-    clients.reconnect(ow.kernel_mut(), new_pid);
-    for _ in 0..8 {
-        ow.kernel_mut().run_step();
-    }
+    clients.settle(ow.kernel_mut(), new_pid);
     assert_eq!(
         clients.verify(ow.kernel_mut(), new_pid),
         VerifyResult::Intact

@@ -17,10 +17,7 @@ fn survive(app: &str, batches: u32) {
     .expect("boot");
 
     let mut w = make_workload(app, 1234);
-    let pid = w.setup(ow.kernel_mut());
-    for _ in 0..batches {
-        w.drive(ow.kernel_mut(), pid);
-    }
+    let pid = w.start(ow.kernel_mut(), batches);
     assert_eq!(
         w.verify(ow.kernel_mut(), pid),
         VerifyResult::Intact,
@@ -35,10 +32,7 @@ fn survive(app: &str, batches: u32) {
     assert!(pr.outcome.is_success(), "{app}: {:?}", pr.outcome);
     let new_pid = pr.new_pid.expect("pid");
 
-    w.reconnect(ow.kernel_mut(), new_pid);
-    for _ in 0..8 {
-        ow.kernel_mut().run_step();
-    }
+    w.settle(ow.kernel_mut(), new_pid);
     assert_eq!(
         w.verify(ow.kernel_mut(), new_pid),
         VerifyResult::Intact,
@@ -126,10 +120,7 @@ fn whole_zoo_survives_together() {
             .find(|p| p.name == name)
             .map(|p| p.pid)
             .unwrap_or_else(|| panic!("{name} alive"));
-        w.reconnect(ow.kernel_mut(), pid);
-        for _ in 0..8 {
-            ow.kernel_mut().run_step();
-        }
+        w.settle(ow.kernel_mut(), pid);
         assert_eq!(
             w.verify(ow.kernel_mut(), pid),
             VerifyResult::Intact,
