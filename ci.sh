@@ -8,6 +8,9 @@ cargo test --workspace -q
 # The crash-point subsystem is compiled out by default; test it explicitly.
 cargo test -p ow-crashpoint --features crashpoint -q
 cargo test -p ow-faultinject --features crashpoint -q
+# The benchmark package is its own workspace; its contract and fidelity
+# tests compile it against the workspace names it imports.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 # Parallel==serial determinism smoke: the sharded campaign engine must emit
 # byte-identical JSON for any --jobs value.
@@ -83,6 +86,8 @@ for f in BENCH_table5.json BENCH_recovery.json BENCH_table6.json BENCH_table3.js
     cmp "$smoke_dir/$f" "$f" \
         || { echo "$f is stale; regenerate it (see ci.sh) and commit" >&2; exit 1; }
 done
+# The in-text claims (§5.4, footnote 3, §4) must run to completion.
+cargo run -q -p ow-bench --release --bin claims >/dev/null
 
 cargo clippy --all-targets --all-features -- -D warnings
 cargo run -p ow-lint --release -- --deny

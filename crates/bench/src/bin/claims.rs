@@ -7,7 +7,7 @@
 
 use ow_apps::blcr::{BlcrWorkload, CkptMode};
 use ow_apps::{make_workload, Workload};
-use ow_core::{OtherworldConfig, ResurrectionStrategy};
+use ow_core::{LadderRung, OtherworldConfig, ProcReport, ResurrectionStrategy};
 use ow_faultinject::parallel_map;
 use ow_kernel::KernelConfig;
 
@@ -46,7 +46,7 @@ fn window_cycles(config: KernelConfig, app: &str, batches: u32) -> u64 {
 }
 
 /// Footnote-3 measurement for one page count and strategy.
-fn materialization(pages: u64, strategy: ResurrectionStrategy) -> (f64, ow_core::ProcReport) {
+fn materialization(pages: u64, strategy: ResurrectionStrategy) -> (f64, ProcReport) {
     let mut k = ow_bench::boot_eval(false);
     let spec = ow_kernel::SpawnSpec::new("blcr", Box::new(ow_apps::blcr::Blcr));
     ow_apps::exec(&mut k, spec, &[pages.to_string(), "memory".to_string()]);
@@ -61,6 +61,25 @@ fn materialization(pages: u64, strategy: ResurrectionStrategy) -> (f64, ow_core:
     };
     let (_k2, report) = ow_core::microreboot(k, &config).expect("microreboot");
     (report.resurrection_seconds, report.procs[0].clone())
+}
+
+/// One strategy's footnote-3 cell: the resurrection time and page count,
+/// or, when the supervisor had to degrade the process, the rung it ended
+/// on — a weaker rung's time is not a materialization time.
+fn materialized(strategy: ResurrectionStrategy, seconds: f64, report: &ProcReport) -> String {
+    let (pages, verb) = match strategy {
+        ResurrectionStrategy::CopyPages => (report.pages_copied, "copied"),
+        _ => (report.pages_mapped, "mapped"),
+    };
+    if report.rung == LadderRung::Full {
+        format!("{strategy:?} {seconds:.4}s ({pages} {verb})")
+    } else {
+        format!(
+            "{strategy:?} ended on {} after {} attempts",
+            report.rung.name(),
+            report.attempts
+        )
+    }
 }
 
 fn main() {
@@ -101,17 +120,14 @@ fn main() {
     });
     for (&pages, result) in mat_pages.iter().zip(mat) {
         let ((t0, p0), (t1, p1)) = result.expect("materialization sweep");
-        println!(
-            "  {:>4} pages: {:?} {:.4}s ({} copied), {:?} {:.4}s ({} mapped) -> map is {:.1}x faster",
-            pages,
-            ResurrectionStrategy::CopyPages,
-            t0,
-            p0.pages_copied,
-            ResurrectionStrategy::MapPages,
-            t1,
-            p1.pages_mapped,
-            t0 / t1.max(1e-12)
-        );
+        let copy = materialized(ResurrectionStrategy::CopyPages, t0, &p0);
+        let map = materialized(ResurrectionStrategy::MapPages, t1, &p1);
+        let speedup = if p0.rung == LadderRung::Full && p1.rung == LadderRung::Full {
+            format!(" -> map is {:.1}x faster", t0 / t1.max(1e-12))
+        } else {
+            String::new()
+        };
+        println!("  {pages:>4} pages: {copy}, {map}{speedup}");
     }
 
     println!("\n§4: descriptor-checksum hardening — runtime overhead of recomputing");

@@ -269,3 +269,25 @@ fn checkpointing_to_memory_beats_disk_by_over_10x() {
         "§5.4: disk {disk} cycles must exceed 10x memory {mem} cycles"
     );
 }
+
+#[test]
+fn footnote3_eager_copy_past_the_reservation_degrades_instead_of_dying() {
+    // 512 touched pages do not fit the crash kernel's 512-frame allocator,
+    // so the eager copy adopts dead frames once it runs out. The failed
+    // attempt is scrubbed, and reaping must leave those adopted frames to
+    // morph instead of freeing them through an allocator that does not
+    // own them; the process then walks the ladder to a clean restart.
+    let mut k = ow_bench::boot_eval(false);
+    let spec = ow_kernel::SpawnSpec::new("blcr", Box::new(ow_apps::blcr::Blcr));
+    ow_apps::exec(&mut k, spec, &["512".to_string(), "memory".to_string()]);
+    for _ in 0..512 {
+        k.run_step();
+    }
+    k.do_panic(ow_kernel::PanicCause::Oops("footnote 3"));
+    let (_k2, report) = ow_core::microreboot(k, &ow_core::OtherworldConfig::default())
+        .expect("an exhausted reservation must not fail the microreboot");
+    let blcr = report.proc_named("blcr").expect("blcr report");
+    assert_eq!(blcr.rung, ow_core::LadderRung::CleanRestart);
+    assert_eq!(blcr.attempts, 4);
+    assert_eq!(blcr.outcome, ow_core::ProcOutcome::RestartedClean);
+}

@@ -140,35 +140,21 @@ impl LadderRung {
     }
 }
 
-/// Resurrection-supervisor knobs (the tentpole of the robustness work):
-/// panic containment, the degradation ladder, the per-process recovery
-/// watchdog, and second-generation escalation.
+/// The resurrection supervisor's switch: panic containment, the
+/// degradation ladder, the per-process recovery watchdog, and
+/// second-generation escalation (their bounds are the constants in
+/// [`crate::supervisor`]).
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Master switch. Off = the pre-supervisor single-shot semantics: any
     /// recovery-time fault fails the whole microreboot (panics are still
     /// contained at the boundary and classified, never propagated).
     pub enabled: bool,
-    /// Hard per-process failures (contained panics + watchdog firings)
-    /// tolerated before the supervisor stops trusting this crash-kernel
-    /// generation and escalates to a restart-only generation 2.
-    pub escalation_threshold: u32,
-    /// Crash-kernel generations the supervisor may consume for one
-    /// microreboot (1 = never escalate, 2 = one generation-2 retry).
-    pub max_generations: u32,
-    /// Per-process cycle budget for the recovery watchdog. `None` derives
-    /// one from the machine's cost model and the reservation size.
-    pub per_process_budget: Option<u64>,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            enabled: true,
-            escalation_threshold: 3,
-            max_generations: 2,
-            per_process_budget: None,
-        }
+        SupervisorConfig { enabled: true }
     }
 }
 
@@ -186,13 +172,6 @@ pub struct RecoveryFaultPlan {
     /// Stall the engine for selected processes (models a walk stuck in a
     /// corrupted structure), burning simulated cycles at the full rung.
     pub stalls: Vec<StallFault>,
-}
-
-impl RecoveryFaultPlan {
-    /// Whether the plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.crash_boot_failures == 0 && self.engine_panics.is_empty() && self.stalls.is_empty()
-    }
 }
 
 /// Panic the resurrection engine while it works on the `victim`-th
@@ -249,7 +228,7 @@ pub struct OtherworldConfig {
     /// §7 extension: resurrect pipes whose semaphore was free at crash time
     /// (§3.3's consistency rule). Off by default.
     pub resurrect_pipes: bool,
-    /// Resurrection-supervisor knobs (containment, ladder, watchdog,
+    /// Resurrection supervisor (containment, ladder, watchdog,
     /// escalation). Enabled by default.
     pub supervisor: SupervisorConfig,
     /// Faults to inject into the recovery path itself; empty outside the

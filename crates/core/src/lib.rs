@@ -4,7 +4,7 @@
 //! substrate:
 //!
 //! 1. **Crash-kernel boot** inside the memory reservation
-//!    ([`ow_kernel::Kernel::boot_crash`], driven from here).
+//!    ([`ow_kernel::Kernel::try_boot_crash`], driven from here).
 //! 2. **Validated raw-memory readers** over the dead kernel ([`reader`]),
 //!    with byte accounting (Table 4) and corruption detection (§4).
 //! 3. **Application resurrection** ([`resurrect`]): process descriptors,
@@ -13,7 +13,7 @@
 //! 4. **Crash procedures** and the Table 1 decision matrix
 //!    ([`otherworld::microreboot`]).
 //! 5. **Morphing** into the main kernel and installing a fresh crash kernel
-//!    (§3.6, [`ow_kernel::Kernel::morph_into_main`]).
+//!    (§3.6, [`ow_kernel::Kernel::morph_into_main_with`]).
 //!
 //! 6. **Resurrection supervisor** ([`supervisor`] + the orchestration in
 //!    [`otherworld`]): panic containment around every engine call, a

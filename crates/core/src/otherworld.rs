@@ -11,7 +11,7 @@
 //! up on the machine.
 
 use crate::{
-    config::{LadderRung, MorphMode, OtherworldConfig, PolicySource, ResurrectionStrategy},
+    config::{LadderRung, MorphMode, OtherworldConfig, PolicySource},
     policy::ResurrectionPolicy,
     reader::{self, ReadError},
     resurrect::{self, DeadKernel},
@@ -24,10 +24,10 @@ use ow_kernel::{
     layout::{pstate, PageCacheNode, WarmSeal},
     program::{Program, StepResult, UserApi},
     syscall::KernelApi,
-    CrashAction, HandoffInfo, Kernel, KernelConfig, PanicOutcome, ProgramRegistry, SpawnSpec,
+    CrashAction, CrashBoot, HandoffInfo, Kernel, KernelConfig, PanicOutcome, ProgramRegistry,
+    SpawnSpec,
 };
 use ow_layout::Record;
-use ow_simhw::Machine;
 use ow_trace::EventKind;
 use std::fmt;
 
@@ -110,11 +110,7 @@ pub fn microreboot(
     // generation. The region's location comes from the handoff block, and
     // recovery is validated record-by-record — wild-write damage costs
     // individual records, never the whole recording.
-    let flight = ow_layout::HandoffBlock::read(&dead.machine.phys)
-        .map(|(h, _)| {
-            ow_trace::FlightRecord::recover(&dead.machine.phys, h.trace_base, h.trace_frames)
-        })
-        .unwrap_or_default();
+    let flight = ow_trace::FlightRecord::from_handoff(&dead.machine.phys);
 
     // Rung 0: rollback-in-place. When the dying kernel sealed a fresh
     // AT_PANIC epoch that survives validation, the record set is restored
@@ -136,23 +132,9 @@ pub fn microreboot(
         }
     }
 
-    let registry = dead.registry.clone();
-    let dead_generation = dead.generation;
-    let machine = dead.machine;
-
     // Outermost containment boundary: even a bug in the supervisor itself
     // surfaces as a classified failure, never an unwinding panic.
-    match supervisor::contain(move || {
-        run_recovery(
-            machine,
-            registry,
-            dead_generation,
-            info,
-            config,
-            flight,
-            t_panic,
-        )
-    }) {
+    match supervisor::contain(move || run_recovery(dead, info, config, flight, t_panic)) {
         Ok(result) => result,
         Err(msg) => Err(MicrorebootFailure::RecoveryFailed(format!(
             "recovery panicked: {msg}"
@@ -191,147 +173,127 @@ enum StageOutcome {
     PanicStorm(String),
 }
 
-/// Everything after the handoff: stage-3 crash-kernel boot (with
-/// escalation), stage-4 resurrection under the supervisor, stage-5 morph.
+/// Everything after the handoff, one crash-kernel generation per pass:
+/// stage-3 boot, stage-4 resurrection under the supervisor, stage-5 morph.
+/// A failed boot and a panic storm end a generation the same way: the next
+/// one boots restart-only and trusts nothing of the dead image.
 fn run_recovery(
-    mut machine: Machine,
-    registry: ProgramRegistry,
-    dead_generation: u32,
+    dead: Kernel,
     info: HandoffInfo,
     config: &OtherworldConfig,
     flight: ow_trace::FlightRecord,
     t_panic: u64,
 ) -> Result<(Kernel, MicrorebootReport), MicrorebootFailure> {
-    let sup = &config.supervisor;
-    let plan = &config.recovery_faults;
+    let Kernel {
+        mut machine,
+        registry,
+        generation: dead_generation,
+        ..
+    } = dead;
+    let enabled = config.supervisor.enabled;
     let mut summary = SupervisorSummary {
-        enabled: sup.enabled,
+        enabled,
         ..SupervisorSummary::default()
     };
-
     // Warm morph implies a warm crash-kernel boot: the boot probes the
     // dead kernel's seal and charges validation probes instead of full
-    // re-initialization when it is intact. Restart-only generations do not
-    // trust the dead image and always boot cold.
-    let mut warm_kcfg = config.crash_kernel.clone();
-    if config.morph == MorphMode::Warm {
-        warm_kcfg.warm_boot = true;
-    }
-
-    // Stage 3: the crash kernel initializes itself inside its reservation.
-    // When a boot attempt fails the supervisor escalates: the next
-    // generation boots in restart-only mode (it will not trust the dead
-    // image at all) and tolerates a stale layout version.
-    let mut gen_bump: u32 = 0;
-    let mut restart_only = false;
+    // re-initialization when it is intact.
+    let mut kind = match config.morph {
+        MorphMode::Warm => CrashBoot::Warm,
+        MorphMode::Cold => CrashBoot::Cold,
+    };
     let mut injected_boot_failures = 0u32;
-    let mut k = loop {
+    // Cause code of the escalation that started this generation, recorded
+    // in `EventKind::RecoveryEscalated`: 0 = boot failure, 1 = panic storm.
+    let mut escalation: Option<u64> = None;
+    let mut first_boot = None;
+    let mut policy = None;
+
+    let (mut k, procs_report, adopt, stats, integrity_fixes, t_booted) = loop {
         summary.crash_boot_attempts += 1;
-        let why = if injected_boot_failures < plan.crash_boot_failures {
+        let gen_offset = summary.crash_boot_attempts - 1;
+
+        // Stage 3: the crash kernel initializes itself inside its
+        // reservation.
+        let booted = if injected_boot_failures < config.recovery_faults.crash_boot_failures {
             injected_boot_failures += 1;
-            "injected fault: crash kernel panicked during boot".to_string()
+            let why = "injected fault: crash kernel panicked during boot";
+            Err((why.to_string(), machine))
         } else {
             let handoff = HandoffInfo {
-                generation: info.generation + gen_bump,
+                generation: info.generation + gen_offset,
                 ..info
             };
-            let kcfg = if restart_only {
-                config.crash_kernel.clone()
-            } else {
-                warm_kcfg.clone()
-            };
-            match Kernel::try_boot_crash(machine, kcfg, registry.clone(), handoff, restart_only) {
-                Ok(k) => break k,
-                Err((e, m)) => {
-                    machine = *m;
-                    e.to_string()
+            let kcfg = config.crash_kernel.clone();
+            Kernel::try_boot_crash(machine, kcfg, registry.clone(), handoff, kind)
+                .map_err(|(e, m)| (e.to_string(), *m))
+        };
+
+        // The escalation cause, and the failure to report if no
+        // generation is left.
+        let (cause, failure) = match booted {
+            Err((why, m)) => {
+                machine = m;
+                (0, MicrorebootFailure::CrashBootFailed(why))
+            }
+            Ok(mut k) => {
+                if let Some(cause) = escalation {
+                    k.trace_event(EventKind::RecoveryEscalated, 0, gen_offset as u64, cause);
+                }
+                let t_booted = *first_boot.get_or_insert(k.machine.clock.now());
+                let policy = policy.get_or_insert_with(|| resolve_policy(&mut k, &config.policy));
+
+                // Stage 4: resurrection. Read accounting restarts with
+                // every generation.
+                let mut stats = ReadStats::default();
+                let mut integrity_fixes = 0u64;
+                // Warm morph: validate the dead kernel's seal and build the
+                // adoption plan, per-structure — whatever fails its CRC
+                // falls back to the cold rebuild.
+                let adopt = if kind == CrashBoot::Warm {
+                    build_adopt_plan(&mut k, info, dead_generation, &mut stats)
+                } else {
+                    AdoptPlan::default()
+                };
+                let stage = if kind == CrashBoot::RestartOnly {
+                    restart_only_recovery(&mut k, &registry, policy, info, &mut stats)
+                } else {
+                    resurrect_all(
+                        &mut k,
+                        &registry,
+                        policy,
+                        info,
+                        config,
+                        dead_generation,
+                        &adopt,
+                        &mut stats,
+                        &mut integrity_fixes,
+                        &mut summary,
+                    )?
+                };
+                match stage {
+                    StageOutcome::Done(procs) => {
+                        break (k, procs, adopt, stats, integrity_fixes, t_booted)
+                    }
+                    // The engine keeps dying inside this generation; stop
+                    // trusting it.
+                    StageOutcome::PanicStorm(why) => {
+                        machine = k.machine;
+                        let why = format!("panic storm with no generations left: {why}");
+                        (1, MicrorebootFailure::RecoveryFailed(why))
+                    }
                 }
             }
         };
-        if !sup.enabled || summary.crash_boot_attempts >= sup.max_generations {
-            return Err(MicrorebootFailure::CrashBootFailed(why));
+        if !enabled || summary.crash_boot_attempts >= supervisor::MAX_GENERATIONS {
+            return Err(failure);
         }
-        gen_bump += 1;
-        restart_only = true;
         summary.escalated = true;
+        escalation = Some(cause);
+        kind = CrashBoot::RestartOnly;
         // The supervisor itself is escalating to a fresh generation; a
         // fault *here* is a fault in the last line of defense.
         ow_crashpoint::crash_point!("recovery.supervisor.gen2.escalate");
-    };
-    if summary.escalated {
-        k.trace_event(EventKind::RecoveryEscalated, 0, gen_bump as u64, 0);
-    }
-    let t_booted = k.machine.clock.now();
-
-    // Stage 4: resurrection.
-    let mut stats = ReadStats::default();
-    let mut integrity_fixes = 0u64;
-    let policy = resolve_policy(&mut k, &config.policy);
-
-    // Warm morph: validate the dead kernel's seal and build the adoption
-    // plan, per-structure — whatever fails its CRC falls back to the cold
-    // rebuild. Restart-only generations never adopt.
-    let mut adopt = if config.morph == MorphMode::Warm && !restart_only {
-        build_adopt_plan(&mut k, info, dead_generation, &mut stats)
-    } else {
-        AdoptPlan::default()
-    };
-
-    let procs_report = if restart_only {
-        restart_only_recovery(&mut k, &registry, &policy, info, &mut stats)
-    } else {
-        match resurrect_all(
-            &mut k,
-            &registry,
-            &policy,
-            info,
-            config,
-            dead_generation,
-            &adopt,
-            &mut stats,
-            &mut integrity_fixes,
-            &mut summary,
-        )? {
-            StageOutcome::Done(reports) => reports,
-            StageOutcome::PanicStorm(why) => {
-                // The engine keeps dying inside this generation; stop
-                // trusting it and hand the machine to a fresh restart-only
-                // crash kernel (generation 2).
-                if summary.crash_boot_attempts >= sup.max_generations {
-                    return Err(MicrorebootFailure::RecoveryFailed(format!(
-                        "panic storm with no generations left: {why}"
-                    )));
-                }
-                summary.crash_boot_attempts += 1;
-                summary.escalated = true;
-                gen_bump += 1;
-                // Generation 2 does not trust the dead image: no adoption.
-                adopt = AdoptPlan::default();
-                let handoff = HandoffInfo {
-                    generation: info.generation + gen_bump,
-                    ..info
-                };
-                let machine = k.machine;
-                k = match Kernel::try_boot_crash(
-                    machine,
-                    config.crash_kernel.clone(),
-                    registry.clone(),
-                    handoff,
-                    true,
-                ) {
-                    Ok(k2) => k2,
-                    Err((e, _m)) => {
-                        return Err(MicrorebootFailure::CrashBootFailed(format!(
-                            "generation-2 boot: {e}"
-                        )))
-                    }
-                };
-                k.trace_event(EventKind::RecoveryEscalated, 0, gen_bump as u64, 1);
-                stats = ReadStats::default();
-                integrity_fixes = 0;
-                restart_only_recovery(&mut k, &registry, &policy, info, &mut stats)
-            }
-        }
     };
     let t_resurrected = k.machine.clock.now();
 
@@ -385,7 +347,7 @@ fn resurrect_all(
     integrity_fixes: &mut u64,
     summary: &mut SupervisorSummary,
 ) -> Result<StageOutcome, MicrorebootFailure> {
-    let sup = &config.supervisor;
+    let enabled = config.supervisor.enabled;
     let plan = &config.recovery_faults;
     let mut reports = Vec::new();
 
@@ -440,9 +402,7 @@ fn resurrect_all(
         .filter(|(_, d)| d.state != pstate::EXITED && policy.selects(&d.name))
         .collect();
 
-    let budget = sup
-        .per_process_budget
-        .unwrap_or_else(|| supervisor::per_process_budget(&k.machine.cost, info.crash_frames));
+    let budget = supervisor::per_process_budget(&k.machine.cost, info.crash_frames);
     let mut dog = ow_simhw::watchdog::Watchdog::new(budget);
     dog.enable(k.machine.clock.now());
 
@@ -453,7 +413,7 @@ fn resurrect_all(
     let mut storm_procs = 0u32;
 
     for (idx, (_addr, old_desc)) in selected.iter().enumerate() {
-        if sup.enabled && storm_procs >= sup.escalation_threshold {
+        if enabled && storm_procs >= supervisor::ESCALATION_THRESHOLD {
             return Ok(StageOutcome::PanicStorm(format!(
                 "{storm_procs} of {} processes hit hard recovery faults",
                 selected.len()
@@ -461,41 +421,19 @@ fn resurrect_all(
         }
         let before = stats.total_bytes;
         let before_pt = stats.pt_bytes;
-        let mut report = ProcReport {
-            old_pid: old_desc.pid,
-            new_pid: None,
-            name: old_desc.name.clone(),
-            outcome: ProcOutcome::FailedCorrupt("unset".into()),
-            failed_resources: 0,
-            bytes_read: 0,
-            pt_bytes: 0,
-            pages_copied: 0,
-            pages_mapped: 0,
-            pages_swapped: 0,
-            rung: LadderRung::Full,
-            attempts: 0,
-        };
         let mut rung = LadderRung::Full;
-        let mut had_hard_fault = false;
+        let mut attempts = 0u32;
+        let mut resurrected = None;
 
-        report.outcome = loop {
-            report.attempts += 1;
-            report.rung = rung;
-
+        let (outcome, new_pid) = loop {
+            attempts += 1;
             // Bottom rung: abandon the dead image, restart from the
-            // registry. Still contained — a panicking `fresh` factory
-            // costs this process only.
+            // registry.
             if rung == LadderRung::CleanRestart {
-                match supervisor::contain(|| clean_restart(k, registry, &old_desc.name)) {
-                    Ok((outcome, new_pid)) => {
-                        report.new_pid = new_pid;
-                        break outcome;
-                    }
-                    Err(msg) => {
-                        summary.contained_panics += 1;
-                        break ProcOutcome::FailedCorrupt(format!("clean restart panicked: {msg}"));
-                    }
-                }
+                break clean_restart(k, registry, &old_desc.name).unwrap_or_else(|panicked| {
+                    summary.contained_panics += 1;
+                    (panicked, None)
+                });
             }
 
             dog.rearm(k.machine.clock.now());
@@ -562,24 +500,18 @@ fn resurrect_all(
                     HardFault::Budget
                 }
                 Ok(Ok((r, outcome, new_pid))) => {
-                    *integrity_fixes += r.integrity_fixes;
-                    report.failed_resources = r.failed_resources;
-                    report.pages_copied = r.pages.copied;
-                    report.pages_mapped = r.pages.mapped;
-                    report.pages_swapped = r.pages.swapped;
-                    report.new_pid = new_pid;
-                    break outcome;
+                    resurrected = Some(r);
+                    break (outcome, new_pid);
                 }
             };
 
             // Hard failure: scrub whatever the attempt half-created, then
             // retry one rung weaker (or fail legacy-style with the
             // supervisor off).
-            had_hard_fault = true;
             scrub_partial(k, watermark);
-            if !sup.enabled {
+            if !enabled {
                 match hard {
-                    HardFault::Read(e) => break ProcOutcome::FailedCorrupt(e.to_string()),
+                    HardFault::Read(e) => break (ProcOutcome::FailedCorrupt(e.to_string()), None),
                     HardFault::Panic(msg) => {
                         return Err(MicrorebootFailure::RecoveryFailed(format!(
                             "unsupervised resurrection engine panic: {msg}"
@@ -610,11 +542,22 @@ fn resurrect_all(
             );
         };
 
-        if had_hard_fault {
+        // A retry means a hard fault.
+        if attempts > 1 {
             storm_procs += 1;
         }
+        let mut report =
+            ProcReport::new(old_desc.pid, old_desc.name.clone(), outcome, new_pid, rung);
+        report.attempts = attempts;
         report.bytes_read = stats.total_bytes - before;
         report.pt_bytes = stats.pt_bytes - before_pt;
+        if let Some(r) = resurrected {
+            *integrity_fixes += r.integrity_fixes;
+            report.failed_resources = r.failed_resources;
+            report.pages_copied = r.pages.copied;
+            report.pages_mapped = r.pages.mapped;
+            report.pages_swapped = r.pages.swapped;
+        }
         reports.push(report);
     }
     Ok(StageOutcome::Done(reports))
@@ -647,7 +590,7 @@ fn restart_only_recovery(
     policy: &ResurrectionPolicy,
     info: HandoffInfo,
     stats: &mut ReadStats,
-) -> Vec<ProcReport> {
+) -> StageOutcome {
     let named: Vec<(u64, String)> = supervisor::contain(|| {
         // Best-effort dead-list read: a fault here falls back to the
         // registry names instead of killing gen-2 recovery.
@@ -672,60 +615,47 @@ fn restart_only_recovery(
             .collect()
     });
 
-    let mut reports = Vec::new();
-    for (old_pid, name) in named {
-        let (outcome, new_pid) = match supervisor::contain(|| clean_restart(k, registry, &name)) {
-            Ok(pair) => pair,
-            Err(msg) => (
-                ProcOutcome::FailedCorrupt(format!("clean restart panicked: {msg}")),
-                None,
-            ),
-        };
-        reports.push(ProcReport {
-            old_pid,
-            new_pid,
-            name,
-            outcome,
-            failed_resources: 0,
-            bytes_read: 0,
-            pt_bytes: 0,
-            pages_copied: 0,
-            pages_mapped: 0,
-            pages_swapped: 0,
-            rung: LadderRung::CleanRestart,
-            attempts: 1,
-        });
-    }
-    reports
+    let reports = named.into_iter().map(|(old_pid, name)| {
+        let (outcome, new_pid) =
+            clean_restart(k, registry, &name).unwrap_or_else(|panicked| (panicked, None));
+        ProcReport::new(old_pid, name, outcome, new_pid, LadderRung::CleanRestart)
+    });
+    StageOutcome::Done(reports.collect())
 }
 
-/// The bottom ladder rung: starts a fresh instance of `name` from the
-/// program registry, abandoning the dead image entirely.
+/// The bottom ladder rung, shared by the ladder and the restart-only
+/// generation: starts a fresh instance of `name` from the program
+/// registry, abandoning the dead image entirely. Contained — a panicking
+/// `fresh` factory costs this process only and comes back as the `Err`
+/// outcome.
 fn clean_restart(
     k: &mut Kernel,
     registry: &ProgramRegistry,
     name: &str,
-) -> (ProcOutcome, Option<u64>) {
-    ow_crashpoint::crash_point!("recovery.ladder.clean.restart");
-    let Some(image) = registry.get(name) else {
-        return (ProcOutcome::FailedNoExecutable, None);
-    };
-    match k.spawn(SpawnSpec::new(name, Box::new(StubProgram))) {
-        Ok(pid) => {
-            let fresh = {
-                let mut api = KernelApi::new(k, pid);
-                (image.fresh)(&mut api, &[])
-            };
-            if let Ok(p) = k.proc_mut(pid) {
-                p.program = Some(fresh);
+) -> Result<(ProcOutcome, Option<u64>), ProcOutcome> {
+    supervisor::contain(|| {
+        ow_crashpoint::crash_point!("recovery.ladder.clean.restart");
+        let Some(image) = registry.get(name) else {
+            return (ProcOutcome::FailedNoExecutable, None);
+        };
+        match k.spawn(SpawnSpec::new(name, Box::new(StubProgram))) {
+            Ok(pid) => {
+                let fresh = {
+                    let mut api = KernelApi::new(k, pid);
+                    (image.fresh)(&mut api, &[])
+                };
+                if let Ok(p) = k.proc_mut(pid) {
+                    p.program = Some(fresh);
+                }
+                (ProcOutcome::RestartedClean, Some(pid))
             }
-            (ProcOutcome::RestartedClean, Some(pid))
+            Err(e) => (
+                ProcOutcome::FailedCorrupt(format!("clean restart: {e}")),
+                None,
+            ),
         }
-        Err(e) => (
-            ProcOutcome::FailedCorrupt(format!("clean restart: {e}")),
-            None,
-        ),
-    }
+    })
+    .map_err(|msg| ProcOutcome::FailedCorrupt(format!("clean restart panicked: {msg}")))
 }
 
 /// Reads the resurrection policy, possibly from the re-mounted filesystem
@@ -1041,15 +971,6 @@ impl Otherworld {
         })
     }
 
-    /// Wraps an existing kernel.
-    pub fn from_kernel(kernel: Kernel, config: OtherworldConfig) -> Self {
-        Otherworld {
-            kernel: Some(kernel),
-            config,
-            last_report: None,
-        }
-    }
-
     /// The current kernel.
     ///
     /// # Panics
@@ -1101,11 +1022,6 @@ impl Otherworld {
     /// halted; only a cold reboot of a new [`Otherworld`] recovers).
     pub fn is_dead(&self) -> bool {
         self.kernel.is_none()
-    }
-
-    /// Resurrection strategy shortcut.
-    pub fn strategy(&self) -> ResurrectionStrategy {
-        self.config.strategy
     }
 
     /// §7: hot kernel update. Loads `new_kernel` as the crash kernel's

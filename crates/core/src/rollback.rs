@@ -389,19 +389,16 @@ fn apply(
     let procs = plan
         .descs
         .values()
-        .map(|d| ProcReport {
-            old_pid: d.pid,
-            new_pid: Some(d.pid),
-            name: d.name.clone(),
-            outcome: ProcOutcome::ContinuedTransparently,
-            failed_resources: 0,
-            bytes_read: plan.proc_bytes.get(&d.pid).copied().unwrap_or(0),
-            pt_bytes: 0,
-            pages_copied: 0,
-            pages_mapped: 0,
-            pages_swapped: 0,
-            rung: LadderRung::RollbackInPlace,
-            attempts: 1,
+        .map(|d| {
+            let mut report = ProcReport::new(
+                d.pid,
+                d.name.clone(),
+                ProcOutcome::ContinuedTransparently,
+                Some(d.pid),
+                LadderRung::RollbackInPlace,
+            );
+            report.bytes_read = plan.proc_bytes.get(&d.pid).copied().unwrap_or(0);
+            report
         })
         .collect();
     Some(MicrorebootReport {

@@ -233,6 +233,33 @@ pub struct ProcReport {
     pub attempts: u32,
 }
 
+impl ProcReport {
+    /// A process that ended on `rung` after one attempt, with no resource
+    /// lost and nothing read or materialized; callers fill in the rest.
+    pub(crate) fn new(
+        old_pid: u64,
+        name: String,
+        outcome: ProcOutcome,
+        new_pid: Option<u64>,
+        rung: LadderRung,
+    ) -> Self {
+        ProcReport {
+            old_pid,
+            new_pid,
+            name,
+            outcome,
+            failed_resources: 0,
+            bytes_read: 0,
+            pt_bytes: 0,
+            pages_copied: 0,
+            pages_mapped: 0,
+            pages_swapped: 0,
+            rung,
+            attempts: 1,
+        }
+    }
+}
+
 /// What the resurrection supervisor did during one microreboot.
 #[derive(Debug, Clone, Default)]
 pub struct SupervisorSummary {

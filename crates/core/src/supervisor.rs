@@ -1,5 +1,5 @@
-//! Resurrection-supervisor primitives: panic containment and the
-//! per-process cycle budget.
+//! Resurrection-supervisor primitives: panic containment, the
+//! per-process cycle budget and the escalation bounds.
 //!
 //! The supervisor's job (ReHype-style) is to make the crash kernel's own
 //! recovery path fault-tolerant: a corruption-triggered panic inside the
@@ -20,6 +20,15 @@ thread_local! {
     /// anticipated, classified event, not a crash worth a backtrace.
     static CONTAIN_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
+
+/// Distinct processes that may hit hard recovery faults (contained panics,
+/// read errors, watchdog firings) before the supervisor stops trusting
+/// the crash-kernel generation — a panic storm — and escalates.
+pub(crate) const ESCALATION_THRESHOLD: u32 = 3;
+
+/// Crash-kernel generations one microreboot may consume: the first, plus
+/// one restart-only generation 2.
+pub(crate) const MAX_GENERATIONS: u32 = 2;
 
 static QUIET_HOOK: Once = Once::new();
 

@@ -81,10 +81,7 @@ fn spawn(k: &mut Kernel, name: &str) -> u64 {
 
 fn sup_config(enabled: bool) -> OtherworldConfig {
     OtherworldConfig {
-        supervisor: SupervisorConfig {
-            enabled,
-            ..SupervisorConfig::default()
-        },
+        supervisor: SupervisorConfig { enabled },
         ..OtherworldConfig::default()
     }
 }
@@ -260,6 +257,44 @@ fn crash_boot_failure_escalates_to_restart_only_generation_2() {
     assert_eq!(pr.outcome, ProcOutcome::RestartedClean);
     assert_eq!(pr.rung, LadderRung::CleanRestart);
     assert!(k2.procs.iter().any(|p| p.name == "counter"));
+}
+
+#[test]
+fn panic_storm_escalates_to_restart_only_generation_2() {
+    let mut k = boot(false);
+    for _ in 0..4 {
+        spawn(&mut k, "counter");
+    }
+    for _ in 0..4 {
+        k.run_step();
+    }
+    k.do_panic(PanicCause::Oops("supervisor test"));
+
+    // The engine dies at every rung for every process: after the third
+    // process walks the ladder, the storm counter reaches the threshold.
+    let mut config = sup_config(true);
+    config.recovery_faults = RecoveryFaultPlan {
+        engine_panics: (0..4)
+            .map(|victim| EnginePanicFault {
+                victim,
+                panics_through: LadderRung::AnonymousOnly,
+            })
+            .collect(),
+        ..RecoveryFaultPlan::default()
+    };
+    let (k2, report) = microreboot(k, &config).expect("generation 2 keeps the machine alive");
+    assert!(report.supervisor.escalated);
+    assert_eq!(report.supervisor.crash_boot_attempts, 2);
+    assert_eq!(
+        report.supervisor.contained_panics, 9,
+        "three processes, three engine rungs each, before the storm"
+    );
+    assert_eq!(report.procs.len(), 4);
+    for pr in &report.procs {
+        assert_eq!(pr.outcome, ProcOutcome::RestartedClean, "{pr:?}");
+        assert_eq!(pr.rung, LadderRung::CleanRestart);
+    }
+    assert_eq!(k2.procs.iter().filter(|p| p.name == "counter").count(), 4);
 }
 
 #[test]

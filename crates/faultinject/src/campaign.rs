@@ -13,7 +13,7 @@
 
 use crate::engine;
 use crate::faults::{inject_batch, DamageReport};
-use crate::pipeline::{campaign_machine_config, recover_flight, resume, Resumed};
+use crate::pipeline::{campaign_machine_config, resume, Resumed};
 use ow_apps::{VerifyResult, Workload};
 use ow_core::{
     microreboot, MicrorebootFailure, MorphMode, OtherworldConfig, PolicySource, ResurrectionPolicy,
@@ -21,7 +21,7 @@ use ow_core::{
 };
 use ow_kernel::{KernelConfig, RobustnessFixes};
 use ow_simhw::{stream_seed, SimRng};
-use ow_trace::EventCounts;
+use ow_trace::{EventCounts, FlightRecord};
 
 /// How many trailing trace events go into each outcome's cause annotation.
 /// A full handoff emits six panic-path milestones, so ten leaves room for
@@ -251,7 +251,7 @@ pub fn run_experiment<W: Workload>(
     // Recover the dead kernel's flight record *before* the microreboot, so
     // even boot failures (where no crash kernel ever runs) get a cause
     // annotation.
-    let flight = recover_flight(&k);
+    let flight = FlightRecord::from_handoff(&k.machine.phys);
     let classified = |outcome: Outcome| ExperimentRecord {
         outcome,
         cause: flight.tail_summary(CAUSE_TAIL_EVENTS),
@@ -275,10 +275,7 @@ pub fn run_experiment<W: Workload>(
         policy: PolicySource::Inline(ResurrectionPolicy::only([workload.name()])),
         morph: cfg.morph,
         strategy: cfg.strategy,
-        supervisor: ow_core::SupervisorConfig {
-            enabled: false,
-            ..ow_core::SupervisorConfig::default()
-        },
+        supervisor: ow_core::SupervisorConfig { enabled: false },
         ..OtherworldConfig::default()
     };
     let (mut k2, report) = match microreboot(k, &ow_config) {

@@ -41,7 +41,7 @@
 
 use crate::campaign::workload_stream_seed;
 use crate::engine;
-use crate::pipeline::{campaign_machine_config, recover_flight, resume, Resumed};
+use crate::pipeline::{campaign_machine_config, resume, Resumed};
 use ow_apps::{VerifyResult, Workload};
 use ow_core::supervisor;
 use ow_core::{
@@ -52,7 +52,7 @@ use ow_crashpoint::{Area, REGISTRY};
 use ow_kernel::{Kernel, KernelConfig, PanicCause, PanicOutcome};
 use ow_simhw::stream_seed;
 use ow_trace::json::Value;
-use ow_trace::EventKind;
+use ow_trace::{EventKind, FlightRecord};
 
 /// Default base seed of the crash-point campaign.
 pub const CRASHPOINT_SEED: u64 = 0x0c7a_5b07;
@@ -476,7 +476,7 @@ pub fn run_cell(spec: &CellSpec) -> CellRecord {
 
     // Flight-record invariant: the dead kernel's panic milestones must be
     // recoverable from the trace region before the crash kernel boots.
-    let flight = recover_flight(&k);
+    let flight = FlightRecord::from_handoff(&k.machine.phys);
     let panic_steps = flight.event_counts().get(EventKind::PanicStep);
 
     let ow_config = OtherworldConfig {

@@ -11,8 +11,9 @@
 //! 2. **drive** — [`Workload::start`], then more [`Workload::drive`]
 //!    batches around the fault source;
 //! 3. **crash** — the family's fault source ends in
-//!    [`ow_kernel::Kernel::do_panic`]; [`recover_flight`] reads the dead
-//!    kernel's flight record the way the crash kernel does;
+//!    [`ow_kernel::Kernel::do_panic`];
+//!    [`ow_trace::FlightRecord::from_handoff`] reads the dead kernel's
+//!    flight record the way the crash kernel does;
 //! 4. **recover** — [`ow_core::microreboot`];
 //! 5. **resume** — [`resume`] finds the application in the report, settles
 //!    it ([`Workload::settle`]) and verifies it.
@@ -21,7 +22,6 @@ use ow_apps::{VerifyResult, Workload};
 use ow_core::{supervisor, LadderRung, MicrorebootReport, ProcOutcome};
 use ow_kernel::Kernel;
 use ow_simhw::{machine::MachineConfig, CostModel};
-use ow_trace::FlightRecord;
 
 /// The machine every campaign experiment runs on: 32 MiB, and zero-cost
 /// I/O so simulated time never gates a campaign.
@@ -33,15 +33,6 @@ pub fn campaign_machine_config() -> MachineConfig {
         tlb_tagged: true,
         cost: CostModel::zero_io(),
     }
-}
-
-/// Recovers the flight record from a kernel's physical memory exactly the
-/// way the crash kernel does: locate the trace region through the handoff
-/// block, then run the validated per-slot reader over it.
-pub fn recover_flight(k: &Kernel) -> FlightRecord {
-    ow_kernel::layout::HandoffBlock::read(&k.machine.phys)
-        .map(|(h, _)| FlightRecord::recover(&k.machine.phys, h.trace_base, h.trace_frames))
-        .unwrap_or_default()
 }
 
 /// How a workload's process came back from a microreboot.

@@ -467,10 +467,7 @@ pub fn run_recovery_experiment(
     let plan = arm_fault(&mut k, kind, &mut rng);
     let config = OtherworldConfig {
         policy: PolicySource::Inline(ResurrectionPolicy::only(APPS)),
-        supervisor: SupervisorConfig {
-            enabled,
-            ..SupervisorConfig::default()
-        },
+        supervisor: SupervisorConfig { enabled },
         rollback,
         recovery_faults: plan,
         ..OtherworldConfig::default()

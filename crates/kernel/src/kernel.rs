@@ -63,6 +63,30 @@ impl Default for BootCosts {
     }
 }
 
+/// Charges one boot phase to the clock and logs it, part by part. When
+/// `probe` names a validation probe, the parts are discounted instead: one
+/// entry under that name costing an eighth of each part. The eighth is an
+/// assumed figure, not modeled work.
+fn boot_phase(
+    machine: &mut Machine,
+    log: &mut Vec<(String, u64)>,
+    parts: &[(&str, u64)],
+    probe: Option<&str>,
+) {
+    let mut charge = |name: &str, cycles: u64| {
+        machine.clock.charge(cycles);
+        log.push((name.to_string(), cycles));
+    };
+    match probe {
+        Some(name) => charge(name, parts.iter().map(|&(_, cycles)| cycles / 8).sum()),
+        None => {
+            for &(name, cycles) in parts {
+                charge(name, cycles);
+            }
+        }
+    }
+}
+
 /// The incremental robustness fixes of §6 that raised the successful
 /// resurrection rate from 89% to 97%+. All enabled by default; the ablation
 /// benchmark disables them.
@@ -120,12 +144,6 @@ pub struct KernelConfig {
     /// configuration information is known by the time of a crash"). Only a
     /// short validation probe is paid. Shrinks Table 6's interruption time.
     pub fast_crash_boot: bool,
-    /// Warm-morph boot: when the dead kernel left a valid
-    /// [`layout::WarmSeal`], the crash kernel charges validation probes
-    /// instead of full re-initialization for mount, swap and service
-    /// bring-up (the sealed CRCs vouch for the state those phases would
-    /// rebuild). Falls back to the full charges when no valid seal exists.
-    pub warm_boot: bool,
     /// §4 hardening: maintain a checksum over every process descriptor so
     /// corruption of resurrection-critical state cannot go undetected. Adds
     /// runtime overhead on every descriptor update.
@@ -153,7 +171,6 @@ impl Default for KernelConfig {
             fixes: RobustnessFixes::default(),
             boot_costs: BootCosts::default(),
             fast_crash_boot: false,
-            warm_boot: false,
             desc_checksums: false,
             trace_frames: 16, // 64 KiB: 1 header frame + ~1280 record slots
             checkpoint_interval: 32,
@@ -253,6 +270,22 @@ pub struct HandoffInfo {
     pub crash_frames: u64,
     /// Microreboot generation of the dead kernel.
     pub generation: u32,
+}
+
+/// What a crash-kernel boot may trust of the dead kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashBoot {
+    /// Boot for a warm morph: when the dead kernel left a valid
+    /// [`layout::WarmSeal`], the sealed CRCs vouch for the state the
+    /// hardware, mount, swap and service phases would rebuild, so each
+    /// shrinks to a validation probe. Without a valid seal it boots cold.
+    Warm,
+    /// Boot for a cold morph: every phase runs in full.
+    Cold,
+    /// Boot a restart-only generation: every phase runs in full, and a
+    /// mismatched layout version is tolerated because this kernel never
+    /// parses the dead kernel's structures.
+    RestartOnly,
 }
 
 /// A fault queued by the injector, to manifest at the next opportunity.
@@ -406,35 +439,20 @@ impl Kernel {
         config: KernelConfig,
         registry: ProgramRegistry,
     ) -> KernelResult<Kernel> {
-        let base_frame = HANDOFF_FRAMES;
-        Kernel::boot_common(machine, config, registry, base_frame, 0, true, false)
-            .map_err(|(e, _)| e)
+        Kernel::boot_common(machine, config, registry, HANDOFF_FRAMES, 0, None).map_err(|(e, _)| e)
     }
 
     /// Boots the crash kernel inside its reservation after a handoff. Uses
     /// only the reserved region for its own memory (§3.2); skips BIOS.
-    pub fn boot_crash(
-        machine: Machine,
-        config: KernelConfig,
-        registry: ProgramRegistry,
-        handoff: HandoffInfo,
-    ) -> KernelResult<Kernel> {
-        Kernel::try_boot_crash(machine, config, registry, handoff, false).map_err(|(e, _)| e)
-    }
-
-    /// Like [`Kernel::boot_crash`], but hands the [`Machine`] back on
-    /// failure so the caller can try again — the resurrection supervisor
-    /// uses this to boot a generation-2 crash kernel in restart-only mode
-    /// after generation 1 fails. `tolerate_layout_mismatch` skips the
-    /// layout-version refusal: a restart-only crash kernel never parses the
-    /// dead kernel's structures, so a mismatched handoff generation is
-    /// survivable for it.
+    /// `kind` says what the boot may trust of the dead kernel. On failure
+    /// the [`Machine`] comes back so the caller can try again — the
+    /// resurrection supervisor boots a restart-only generation on it.
     pub fn try_boot_crash(
         machine: Machine,
         config: KernelConfig,
         registry: ProgramRegistry,
         handoff: HandoffInfo,
-        tolerate_layout_mismatch: bool,
+        kind: CrashBoot,
     ) -> Result<Kernel, (KernelError, Box<Machine>)> {
         // First instruction of the crash kernel, so to speak: nothing has
         // been read from the dead kernel yet.
@@ -445,57 +463,43 @@ impl Kernel {
             registry,
             handoff.crash_base,
             handoff.generation + 1,
-            false,
-            tolerate_layout_mismatch,
+            Some(kind),
         )
     }
 
+    /// Shared boot sequence; `crash` is `None` for a cold boot.
     fn boot_common(
         mut machine: Machine,
         config: KernelConfig,
         registry: ProgramRegistry,
         base_frame: Pfn,
         generation: u32,
-        cold: bool,
-        tolerate_layout_mismatch: bool,
+        crash: Option<CrashBoot>,
     ) -> Result<Kernel, (KernelError, Box<Machine>)> {
+        let cold = crash.is_none();
         let mut boot_log = Vec::new();
         let costs = config.boot_costs.clone();
-        let phase = |m: &mut Machine, name: &str, cycles: u64, log: &mut Vec<(String, u64)>| {
-            m.clock.charge(cycles);
-            log.push((name.to_string(), cycles));
-        };
 
         if cold {
-            phase(&mut machine, "bios", costs.bios, &mut boot_log);
+            boot_phase(&mut machine, &mut boot_log, &[("bios", costs.bios)], None);
         }
-        // Warm-morph boot: a valid seal left by the dying kernel vouches
-        // for the state the expensive boot phases would otherwise rebuild,
-        // so those phases shrink to validation probes. The probe only
-        // checks the seal's presence and generation; the per-structure
-        // CRCs are revalidated by the orchestrator before anything is
-        // actually adopted.
-        let warm = !cold && config.warm_boot && Kernel::probe_warm_seal(&machine).is_some();
+        // A warm boot needs the dead kernel's seal. The probe checks only
+        // its presence and generation; the per-structure CRCs are
+        // revalidated by the orchestrator before anything is adopted.
+        let warm = crash == Some(CrashBoot::Warm) && Kernel::probe_warm_seal(&machine).is_some();
+        // §7 optimization: the dead kernel's hardware inventory is still in
+        // memory; a crash kernel may validate it with a short probe instead
+        // of re-detecting and re-initializing every device from scratch.
         let ndev = machine.devices().len() as u64;
-        if !cold && (config.fast_crash_boot || warm) {
-            // §7 optimization: the dead kernel's hardware inventory is
-            // still in memory; validate it with a short probe instead of
-            // re-detecting and re-initializing every device from scratch.
-            phase(
-                &mut machine,
-                "hw_validate",
-                costs.hw_detect / 8 + costs.driver_init_per_device * ndev / 8,
-                &mut boot_log,
-            );
-        } else {
-            phase(&mut machine, "hw_detect", costs.hw_detect, &mut boot_log);
-            phase(
-                &mut machine,
-                "drivers",
-                costs.driver_init_per_device * ndev,
-                &mut boot_log,
-            );
-        }
+        boot_phase(
+            &mut machine,
+            &mut boot_log,
+            &[
+                ("hw_detect", costs.hw_detect),
+                ("drivers", costs.driver_init_per_device * ndev),
+            ],
+            (!cold && (config.fast_crash_boot || warm)).then_some("hw_validate"),
+        );
 
         // Memory layout for this kernel.
         let total_frames = machine.frames();
@@ -537,7 +541,7 @@ impl Kernel {
             // kernel's memory could silently mean something else. A
             // restart-only generation-2 crash kernel may tolerate the
             // mismatch — it never parses those descriptors.
-            if h.layout_version != layout::LAYOUT_VERSION && !tolerate_layout_mismatch {
+            if h.layout_version != layout::LAYOUT_VERSION && crash != Some(CrashBoot::RestartOnly) {
                 return Err((
                     KernelError::LayoutGeneration {
                         stored: h.layout_version,
@@ -597,18 +601,14 @@ impl Kernel {
             },
             Err(e) => return Err((e, Box::new(machine))),
         };
-        if warm {
-            // The seal's page-cache CRC vouches for the buffer state a
-            // full mount would rebuild; only a superblock probe is paid.
-            phase(
-                &mut machine,
-                "fs_validate",
-                costs.fs_mount / 8,
-                &mut boot_log,
-            );
-        } else {
-            phase(&mut machine, "fs_mount", costs.fs_mount, &mut boot_log);
-        }
+        // The seal's page-cache CRC vouches for the buffer state a full
+        // mount would rebuild; a warm boot pays only a superblock probe.
+        boot_phase(
+            &mut machine,
+            &mut boot_log,
+            &[("fs_mount", costs.fs_mount)],
+            warm.then_some("fs_validate"),
+        );
 
         let mut kernel = Kernel {
             machine,
@@ -664,7 +664,7 @@ impl Kernel {
 
         // Arm the flight recorder for this generation. The crash kernel
         // re-arms (and thus zeroes) the ring: the dead kernel's record was
-        // already recovered from raw memory before boot_crash ran. Arming
+        // already recovered from raw memory before try_boot_crash ran. Arming
         // happens before any subsystem that emits events.
         if trace_frames >= TraceRing::MIN_FRAMES && trace_base + trace_frames <= total_frames {
             kernel
@@ -705,22 +705,15 @@ impl Kernel {
             area.trace = kernel.trace;
             kernel.swaps.push(area);
         }
-        let swap_cost = if kernel.warm_booted {
-            // The sealed slot bitmap is adoptable; initialization shrinks
-            // to a descriptor probe.
-            kernel.config.boot_costs.swap_init / 8
-        } else {
-            kernel.config.boot_costs.swap_init
-        };
-        kernel.machine.clock.charge(swap_cost);
-        kernel.boot_log.push((
-            if kernel.warm_booted {
-                "swap_validate".into()
-            } else {
-                "swap_init".into()
-            },
-            swap_cost,
-        ));
+        // The sealed slot bitmap is adoptable; a warm boot's initialization
+        // shrinks to a descriptor probe.
+        let warm = kernel.warm_booted;
+        boot_phase(
+            &mut kernel.machine,
+            &mut kernel.boot_log,
+            &[("swap_init", kernel.config.boot_costs.swap_init)],
+            warm.then_some("swap_validate"),
+        );
 
         // Terminal and pipe tables.
         kernel.term_table_addr = kernel
@@ -734,20 +727,12 @@ impl Kernel {
 
         // Base services. A warm boot restarts only the supervision shims
         // and lets the sealed state stand in for the rest.
-        let services_cost = if kernel.warm_booted {
-            kernel.config.boot_costs.services / 8
-        } else {
-            kernel.config.boot_costs.services
-        };
-        kernel.machine.clock.charge(services_cost);
-        kernel.boot_log.push((
-            if kernel.warm_booted {
-                "services_warm".into()
-            } else {
-                "services".into()
-            },
-            services_cost,
-        ));
+        boot_phase(
+            &mut kernel.machine,
+            &mut kernel.boot_log,
+            &[("services", kernel.config.boot_costs.services)],
+            warm.then_some("services_warm"),
+        );
 
         // The crash kernel restarts the processors that the dying kernel's
         // NMI broadcast halted; without this, the next panic's broadcast
@@ -1222,7 +1207,10 @@ impl Kernel {
                 // Lazy pages still point at dead-generation frames outside
                 // this allocator (the owner map can agree by pid collision
                 // across generations); the next morph accounts for them.
-                if matches!(self.machine.owner(pte.pfn()), FrameOwner::User { pid: p } if p == pid)
+                // So do frames a crash kernel adopted from the dead image
+                // before morphing: they are not this allocator's to free.
+                if self.falloc.contains(pte.pfn())
+                    && matches!(self.machine.owner(pte.pfn()), FrameOwner::User { pid: p } if p == pid)
                 {
                     self.free_frame(pte.pfn());
                 }

@@ -214,17 +214,11 @@ impl Kernel {
         Ok(())
     }
 
-    /// Full morph: reclaim memory, then install the next crash kernel. On
-    /// return this kernel *is* the main kernel and the system is protected
-    /// against the next failure.
-    pub fn morph_into_main(&mut self) -> KernelResult<()> {
-        self.morph_into_main_with(&AdoptPlan::default())
-    }
-
-    /// The adopt-or-rebuild morph: frame state comes from the plan's
-    /// validated adoption when present, from the cold all-RAM reclaim scan
-    /// otherwise. (The plan's swap and cache halves act earlier, during
-    /// resurrection.)
+    /// Full morph: frame state comes from the plan's validated adoption
+    /// when present, from the cold all-RAM reclaim scan otherwise (the
+    /// plan's swap and cache halves act earlier, during resurrection); then
+    /// the next crash kernel is installed. On return this kernel *is* the
+    /// main kernel and the system is protected against the next failure.
     pub fn morph_into_main_with(&mut self, plan: &AdoptPlan) -> KernelResult<()> {
         ow_crashpoint::crash_point!("kernel.kexec.morph.main");
         match &plan.frames {

@@ -35,8 +35,8 @@ pub mod vm;
 
 pub use error::{Errno, KernelError, SysResult};
 pub use kernel::{
-    BootCosts, HandoffInfo, Kernel, KernelConfig, PanicCause, PanicOutcome, PendingFault,
-    ProcHandle, RobustnessFixes, RunEvent, SpawnSpec,
+    BootCosts, CrashBoot, HandoffInfo, Kernel, KernelConfig, PanicCause, PanicOutcome,
+    PendingFault, ProcHandle, RobustnessFixes, RunEvent, SpawnSpec,
 };
 pub use program::{CrashAction, Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR};
 

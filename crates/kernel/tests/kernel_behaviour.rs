@@ -5,7 +5,8 @@
 use ow_kernel::layout::{oflags, HandoffBlock, TERM_COLS, TERM_ROWS};
 use ow_kernel::program::{Program, ProgramRegistry, StepResult, UserApi};
 use ow_kernel::{
-    Errno, Kernel, KernelConfig, KernelError, PanicCause, SpawnSpec, PROG_STATE_VADDR,
+    kexec::AdoptPlan, CrashBoot, Errno, Kernel, KernelConfig, KernelError, PanicCause, SpawnSpec,
+    PROG_STATE_VADDR,
 };
 use ow_simhw::machine::MachineConfig;
 
@@ -205,16 +206,18 @@ fn morph_reclaims_dead_kernel_memory() {
         other => panic!("{other:?}"),
     };
     let machine = k.machine;
-    let mut k2 = Kernel::boot_crash(
+    let Ok(mut k2) = Kernel::try_boot_crash(
         machine,
         KernelConfig::default(),
         ProgramRegistry::new(),
         info,
-    )
-    .unwrap();
+        CrashBoot::Cold,
+    ) else {
+        panic!("crash boot failed");
+    };
     // Before morphing: confined to the old crash reservation.
     let confined = k2.falloc.capacity();
-    k2.morph_into_main().unwrap();
+    k2.morph_into_main_with(&AdoptPlan::default()).unwrap();
     assert!(
         k2.falloc.capacity() > confined * 2,
         "morph must adopt (far) more memory than the reservation"
@@ -241,11 +244,12 @@ fn crash_boot_refuses_a_reservation_past_ram() {
         assert!(h.crash_base > 0 && machine.frames() == 4096);
         h.crash_frames = crash_frames;
         h.write(&mut machine.phys).unwrap();
-        let err = Kernel::boot_crash(
+        let (err, _) = Kernel::try_boot_crash(
             machine,
             KernelConfig::default(),
             ProgramRegistry::new(),
             info,
+            CrashBoot::Cold,
         )
         .unwrap_err();
         assert_eq!(err, KernelError::Inval("crash reservation outside RAM"));

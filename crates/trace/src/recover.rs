@@ -171,6 +171,16 @@ pub struct FlightRecord {
 }
 
 impl FlightRecord {
+    /// Recovers the dead kernel's flight record the way the crash kernel
+    /// does: the handoff block locates the trace region, then
+    /// [`FlightRecord::recover`] reads it. An unreadable handoff block
+    /// yields the empty record.
+    pub fn from_handoff(phys: &PhysMem) -> FlightRecord {
+        ow_layout::HandoffBlock::read(phys)
+            .map(|(h, _)| FlightRecord::recover(phys, h.trace_base, h.trace_frames))
+            .unwrap_or_default()
+    }
+
     /// Recovers the flight record from `phys`. Never fails: corruption is
     /// skipped and counted, and the worst case is an empty record.
     pub fn recover(phys: &PhysMem, base_frame: u64, frames: u64) -> FlightRecord {

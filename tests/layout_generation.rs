@@ -60,10 +60,7 @@ fn mismatched_layout_generation_is_refused_cleanly() {
     // fails the microreboot with a classified error.
     let k = panic_with_bumped_layout();
     let config = OtherworldConfig {
-        supervisor: SupervisorConfig {
-            enabled: false,
-            ..SupervisorConfig::default()
-        },
+        supervisor: SupervisorConfig { enabled: false },
         ..OtherworldConfig::default()
     };
     let err = microreboot(k, &config).expect_err("mismatched generation must not resurrect");
