@@ -8,6 +8,12 @@ cargo test --workspace -q
 # The crash-point subsystem is compiled out by default; test it explicitly.
 cargo test -p ow-crashpoint --features crashpoint -q
 cargo test -p ow-faultinject --features crashpoint -q
+# The heavy-tests property suites (the page-store and flush-always MMU
+# oracles, the layout corruption properties, ...) are off by default;
+# run them here so they gate every change.
+cargo test -q -p ow-simhw -p ow-layout -p ow-kernel -p ow-apps -p ow-core \
+    -p ow-faultinject -p ow-crashpoint \
+    --features ow-simhw/heavy-tests,ow-layout/heavy-tests,ow-kernel/heavy-tests,ow-apps/heavy-tests,ow-core/heavy-tests,ow-faultinject/heavy-tests,ow-crashpoint/heavy-tests
 # The benchmark package is its own workspace; its contract and fidelity
 # tests compile it against the workspace names it imports.
 cargo test -q --manifest-path benchmark/Cargo.toml

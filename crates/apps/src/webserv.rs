@@ -108,19 +108,27 @@ fn find_slot(api: &mut dyn UserApi, sid: u64) -> Result<Option<u64>, Errno> {
 
 fn set_session(api: &mut dyn UserApi, sid: u64, data: &[u8]) -> Result<(), Errno> {
     let start = sid % SLOTS;
+    let mut tombstone = None;
+    let mut slot = None;
     for off in 0..SLOTS {
         let i = (start + off) % SLOTS;
         let cur = api.mem_read_u64(slot_addr(i))?;
         if cur == sid || cur == 0 {
-            api.mem_write_u64(slot_addr(i), sid)?;
-            api.mem_write_u64(slot_addr(i) + 8, data.len() as u64)?;
-            let mut d = data.to_vec();
-            d.resize(DATA_SIZE, 0);
-            api.mem_write(slot_addr(i) + 16, &d)?;
-            return Ok(());
+            slot = Some(i);
+            break;
+        }
+        if cur == u64::MAX && tombstone.is_none() {
+            tombstone = Some(i);
         }
     }
-    Err(Errno::NoMem)
+    // Only a table with no empty slot left reuses a tombstone: the probe
+    // has then seen every slot, so `sid` is not stored anywhere else.
+    let i = slot.or(tombstone).ok_or(Errno::NoMem)?;
+    api.mem_write_u64(slot_addr(i), sid)?;
+    api.mem_write_u64(slot_addr(i) + 8, data.len() as u64)?;
+    let mut d = data.to_vec();
+    d.resize(DATA_SIZE, 0);
+    api.mem_write(slot_addr(i) + 16, &d)
 }
 
 fn del_session(api: &mut dyn UserApi, sid: u64) -> Result<(), Errno> {
@@ -469,6 +477,16 @@ mod tests {
         assert_eq!(w.verify(&mut k, pid), VerifyResult::Intact);
         let sess = read_sessions(&mut k, pid).unwrap();
         assert!(!sess.is_empty());
+    }
+
+    #[test]
+    fn deleted_slots_are_reused_once_the_table_has_no_empty_slot() {
+        // Deletes leave tombstones; after ~1,500 batches no slot is empty
+        // and every SET lands on a tombstone.
+        let mut k = boot();
+        let mut w = WebServWorkload::new(21);
+        let pid = w.start(&mut k, 2000);
+        assert_eq!(w.verify(&mut k, pid), VerifyResult::Intact);
     }
 
     #[test]

@@ -83,3 +83,35 @@ pub fn resume<W: Workload + ?Sized>(
         verdict,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ow_apps::{make_workload, workload::TABLE5_APPS};
+    use ow_kernel::KernelConfig;
+
+    /// Physical memory is backed by host memory only where it was written:
+    /// a fresh campaign machine holds none, and a Table 5 experiment's
+    /// steady state touches a few percent of its 8,192 frames.
+    #[test]
+    fn campaign_machine_backs_only_written_frames() {
+        let machine = ow_kernel::standard_machine(campaign_machine_config());
+        assert_eq!(machine.phys.resident_frames(), 0);
+        for app in TABLE5_APPS {
+            for user_protection in [false, true] {
+                let config = KernelConfig {
+                    user_protection,
+                    ..KernelConfig::default()
+                };
+                let mut k = ow_apps::boot(campaign_machine_config(), config).unwrap();
+                make_workload(app, 7).start(&mut k, 60);
+                let resident = k.machine.phys.resident_frames();
+                assert!(
+                    resident < 256,
+                    "{app} (protection {user_protection}): {resident} of {} frames backed",
+                    k.machine.phys.frames()
+                );
+            }
+        }
+    }
+}

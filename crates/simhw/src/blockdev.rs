@@ -5,7 +5,7 @@
 //! crash kernel, so resurrection never clobbers pages the main kernel had
 //! swapped out (§3.2).
 
-use crate::{clock::Clock, cost::CostModel};
+use crate::{clock::Clock, cost::CostModel, store::PageStore};
 use std::fmt;
 
 /// Block-device identifier.
@@ -52,7 +52,7 @@ pub struct BlockDevice {
     pub id: DevId,
     /// Human-readable name (e.g. `"sda"`, `"swap-main"`, `"swap-crash"`).
     pub name: String,
-    data: Vec<u8>,
+    data: PageStore,
     stats: DevStats,
 }
 
@@ -62,7 +62,7 @@ impl BlockDevice {
         BlockDevice {
             id,
             name: name.into(),
-            data: vec![0u8; size],
+            data: PageStore::new(size),
             stats: DevStats::default(),
         }
     }
@@ -78,14 +78,9 @@ impl BlockDevice {
     }
 
     fn check(&self, offset: u64, len: usize) -> Result<usize, DevError> {
-        let start = offset as usize;
-        let end = start
-            .checked_add(len)
-            .ok_or(DevError::OutOfRange { offset, len })?;
-        if end > self.data.len() {
-            return Err(DevError::OutOfRange { offset, len });
-        }
-        Ok(start)
+        self.data
+            .check(offset, len)
+            .ok_or(DevError::OutOfRange { offset, len })
     }
 
     /// Per-operation latency: small (metadata-sized) transfers are mostly
@@ -109,7 +104,7 @@ impl BlockDevice {
         buf: &mut [u8],
     ) -> Result<(), DevError> {
         let start = self.check(offset, buf.len())?;
-        buf.copy_from_slice(&self.data[start..start + buf.len()]);
+        self.data.copy_to(start, buf);
         self.stats.reads += 1;
         self.stats.bytes += buf.len() as u64;
         clock.charge(Self::op_cost(cost, buf.len()));
@@ -125,7 +120,7 @@ impl BlockDevice {
         buf: &[u8],
     ) -> Result<(), DevError> {
         let start = self.check(offset, buf.len())?;
-        self.data[start..start + buf.len()].copy_from_slice(buf);
+        self.data.copy_from(start, buf);
         self.stats.writes += 1;
         self.stats.bytes += buf.len() as u64;
         clock.charge(Self::op_cost(cost, buf.len()));
@@ -135,7 +130,7 @@ impl BlockDevice {
     /// Reads without charging latency (used by integrity checks in tests).
     pub fn peek(&self, offset: u64, buf: &mut [u8]) -> Result<(), DevError> {
         let start = self.check(offset, buf.len())?;
-        buf.copy_from_slice(&self.data[start..start + buf.len()]);
+        self.data.copy_to(start, buf);
         Ok(())
     }
 }

@@ -25,6 +25,7 @@ pub mod mmu;
 pub mod paging;
 pub mod phys;
 pub mod rng;
+mod store;
 pub mod watchdog;
 
 pub use blockdev::{BlockDevice, DevId};

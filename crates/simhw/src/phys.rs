@@ -1,10 +1,10 @@
 //! Simulated physical memory.
 //!
-//! A flat, byte-addressable array of RAM divided into 4 KiB frames. All
-//! kernel structures that the crash kernel must later parse are serialized
-//! into this memory, so corrupting a byte here corrupts the "real" system
-//! state, exactly as a wild write on hardware would.
+//! Byte-addressable RAM in 4 KiB frames. Every kernel structure the crash
+//! kernel later parses is serialized here, so corrupting a byte corrupts
+//! the "real" system state, exactly as a wild write on hardware would.
 
+use crate::store::PageStore;
 use std::fmt;
 
 /// Size of one physical page frame in bytes.
@@ -42,7 +42,7 @@ impl std::error::Error for MemError {}
 /// All multi-byte accessors use little-endian byte order, matching the x86
 /// machines the paper evaluates on.
 pub struct PhysMem {
-    bytes: Vec<u8>,
+    pages: PageStore,
 }
 
 impl PhysMem {
@@ -55,71 +55,67 @@ impl PhysMem {
         // ow-lint: allow(recovery-panic) -- documented # Panics contract: machine-geometry precondition at construction
         assert!(frames > 0, "machine needs at least one frame of RAM");
         PhysMem {
-            bytes: vec![0u8; frames * PAGE_SIZE],
+            pages: PageStore::new(frames * PAGE_SIZE),
         }
     }
 
     /// Total installed memory in bytes.
     pub fn size(&self) -> u64 {
-        self.bytes.len() as u64
+        self.pages.len() as u64
     }
 
     /// Number of installed physical frames.
     pub fn frames(&self) -> u64 {
-        (self.bytes.len() / PAGE_SIZE) as u64
+        (self.pages.len() / PAGE_SIZE) as u64
     }
 
+    /// Number of frames backed by host memory. A frame is backed from its
+    /// first write on; one never written reads as zeros and costs the host
+    /// nothing. This is the simulator's host footprint, not a simulated
+    /// quantity.
+    pub fn resident_frames(&self) -> u64 {
+        self.pages.resident_pages() as u64
+    }
+
+    #[inline]
     fn check(&self, addr: PhysAddr, len: usize) -> Result<usize, MemError> {
-        let start = addr as usize;
-        let end = start
-            .checked_add(len)
-            .ok_or(MemError::OutOfRange { addr, len })?;
-        if end > self.bytes.len() {
-            return Err(MemError::OutOfRange { addr, len });
-        }
-        Ok(start)
+        self.pages
+            .check(addr, len)
+            .ok_or(MemError::OutOfRange { addr, len })
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
+    #[inline]
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let start = self.check(addr, buf.len())?;
-        buf.copy_from_slice(&self.bytes[start..start + buf.len()]);
+        self.pages.copy_to(start, buf);
         Ok(())
     }
 
     /// Writes `buf` starting at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
         let start = self.check(addr, buf.len())?;
-        self.bytes[start..start + buf.len()].copy_from_slice(buf);
+        self.pages.copy_from(start, buf);
         Ok(())
-    }
-
-    /// Returns a read-only view of `len` bytes at `addr`.
-    pub fn slice(&self, addr: PhysAddr, len: usize) -> Result<&[u8], MemError> {
-        let start = self.check(addr, len)?;
-        Ok(&self.bytes[start..start + len])
-    }
-
-    /// Returns a mutable view of `len` bytes at `addr`.
-    pub fn slice_mut(&mut self, addr: PhysAddr, len: usize) -> Result<&mut [u8], MemError> {
-        let start = self.check(addr, len)?;
-        Ok(&mut self.bytes[start..start + len])
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&self, addr: PhysAddr) -> Result<u8, MemError> {
-        let start = self.check(addr, 1)?;
-        Ok(self.bytes[start])
+        let mut b = [0u8; 1];
+        self.read(addr, &mut b)?;
+        Ok(b[0])
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn write_u8(&mut self, addr: PhysAddr, v: u8) -> Result<(), MemError> {
-        let start = self.check(addr, 1)?;
-        self.bytes[start] = v;
-        Ok(())
+        self.write(addr, &[v])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn read_u16(&self, addr: PhysAddr) -> Result<u16, MemError> {
         let mut b = [0u8; 2];
         self.read(addr, &mut b)?;
@@ -127,13 +123,13 @@ impl PhysMem {
     }
 
     /// Writes a little-endian `u16`.
+    #[inline]
     pub fn write_u16(&mut self, addr: PhysAddr, v: u16) -> Result<(), MemError> {
-        let start = self.check(addr, 2)?;
-        self.bytes[start..start + 2].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write(addr, &v.to_le_bytes())
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn read_u32(&self, addr: PhysAddr) -> Result<u32, MemError> {
         let mut b = [0u8; 4];
         self.read(addr, &mut b)?;
@@ -141,13 +137,13 @@ impl PhysMem {
     }
 
     /// Writes a little-endian `u32`.
+    #[inline]
     pub fn write_u32(&mut self, addr: PhysAddr, v: u32) -> Result<(), MemError> {
-        let start = self.check(addr, 4)?;
-        self.bytes[start..start + 4].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write(addr, &v.to_le_bytes())
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn read_u64(&self, addr: PhysAddr) -> Result<u64, MemError> {
         let mut b = [0u8; 8];
         self.read(addr, &mut b)?;
@@ -155,25 +151,28 @@ impl PhysMem {
     }
 
     /// Writes a little-endian `u64`.
+    #[inline]
     pub fn write_u64(&mut self, addr: PhysAddr, v: u64) -> Result<(), MemError> {
-        let start = self.check(addr, 8)?;
-        self.bytes[start..start + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write(addr, &v.to_le_bytes())
+    }
+
+    /// The index of the whole frame at page-aligned `addr`.
+    fn frame_at(&self, addr: PhysAddr) -> Result<usize, MemError> {
+        Ok(self.check(addr, PAGE_SIZE)? / PAGE_SIZE)
     }
 
     /// Zeroes an entire frame.
     pub fn zero_frame(&mut self, pfn: u64) -> Result<(), MemError> {
-        let addr = pfn * PAGE_SIZE as u64;
-        let start = self.check(addr, PAGE_SIZE)?;
-        self.bytes[start..start + PAGE_SIZE].fill(0);
+        let frame = self.frame_at(pfn * PAGE_SIZE as u64)?;
+        self.pages.zero_page(frame);
         Ok(())
     }
 
     /// Copies a whole frame from `src_pfn` to `dst_pfn`.
     pub fn copy_frame(&mut self, src_pfn: u64, dst_pfn: u64) -> Result<(), MemError> {
-        let src = self.check(src_pfn * PAGE_SIZE as u64, PAGE_SIZE)?;
-        let dst = self.check(dst_pfn * PAGE_SIZE as u64, PAGE_SIZE)?;
-        self.bytes.copy_within(src..src + PAGE_SIZE, dst);
+        let src = self.frame_at(src_pfn * PAGE_SIZE as u64)?;
+        let dst = self.frame_at(dst_pfn * PAGE_SIZE as u64)?;
+        self.pages.copy_page(src, dst);
         Ok(())
     }
 
@@ -234,7 +233,14 @@ mod tests {
     #[test]
     fn rejects_wraparound() {
         let m = PhysMem::new(1);
-        assert!(m.slice(u64::MAX, 16).is_err());
+        let mut buf = [0u8; 16];
+        assert_eq!(
+            m.read(u64::MAX, &mut buf),
+            Err(MemError::OutOfRange {
+                addr: u64::MAX,
+                len: 16
+            })
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! them when asked (`cargo test --features heavy-tests`).
 #![cfg(feature = "heavy-tests")]
 
+mod oracle;
+
 use ow_simhw::{
     paging::{PageFault, VA_LIMIT},
     AccessKind, AddressSpace, Clock, CostModel, FrameAllocator, Mmu, PhysMem, Pte, PteFlags,
@@ -112,23 +114,23 @@ fn page_walk_matches_oracle() {
     }
 }
 
-/// Physical memory behaves like a byte array (random read/write oracle).
+/// `PhysMem` and `BlockDevice` behave like a flat zero-initialised byte
+/// buffer under random typed, bulk, frame and corruption operations, with
+/// only written frames backed (the page-store oracle, long sweep).
 #[test]
-fn phys_mem_matches_byte_oracle() {
+fn page_store_matches_flat_buffer() {
     let mut rng = SimRng::seed_from_u64(0x907e_0004);
     for _ in 0..CASES {
-        let mut phys = PhysMem::new(2);
-        let mut oracle = vec![0u8; 8192];
-        let nwrites = rng.gen_range(0usize..200);
-        for _ in 0..nwrites {
-            let addr = rng.gen_range(0usize..8192);
-            let v = rng.gen_range(0u32..256) as u8;
-            phys.write_u8(addr as u64, v).unwrap();
-            oracle[addr] = v;
-        }
-        let mut got = vec![0u8; 8192];
-        phys.read(0, &mut got).unwrap();
-        assert_eq!(got, oracle);
+        let frames = rng.gen_range(1usize..41);
+        let nops = rng.gen_range(0usize..600);
+        oracle::phys_case(&mut rng, frames, nops);
+        let size = match rng.gen_range(0u32..3) {
+            0 => 16,
+            1 => PAGE_SIZE + 1,
+            _ => rng.gen_range(1..5 * PAGE_SIZE),
+        };
+        let nops = rng.gen_range(0usize..600);
+        oracle::dev_case(&mut rng, size, nops);
     }
 }
 
