@@ -9,11 +9,11 @@ cargo test --workspace -q
 cargo test -p ow-crashpoint --features crashpoint -q
 cargo test -p ow-faultinject --features crashpoint -q
 # The heavy-tests property suites (the page-store and flush-always MMU
-# oracles, the layout corruption properties, ...) are off by default;
-# run them here so they gate every change.
-cargo test -q -p ow-simhw -p ow-layout -p ow-kernel -p ow-apps -p ow-core \
-    -p ow-faultinject -p ow-crashpoint \
-    --features ow-simhw/heavy-tests,ow-layout/heavy-tests,ow-kernel/heavy-tests,ow-apps/heavy-tests,ow-core/heavy-tests,ow-faultinject/heavy-tests,ow-crashpoint/heavy-tests
+# oracles, the layout corruption properties, the byte-identical resurrected
+# address spaces, ...) are off by default; run them here so they gate every
+# change.
+cargo test -q -p otherworld -p ow-simhw -p ow-layout -p ow-kernel -p ow-apps -p ow-faultinject \
+    --features otherworld/heavy-tests,ow-simhw/heavy-tests,ow-layout/heavy-tests,ow-kernel/heavy-tests,ow-apps/heavy-tests,ow-faultinject/heavy-tests
 # The benchmark package is its own workspace; its contract and fidelity
 # tests compile it against the workspace names it imports.
 cargo test -q --manifest-path benchmark/Cargo.toml
@@ -94,6 +94,11 @@ for f in BENCH_table5.json BENCH_recovery.json BENCH_table6.json BENCH_table3.js
 done
 # The in-text claims (§5.4, footnote 3, §4) must run to completion.
 cargo run -q -p ow-bench --release --bin claims >/dev/null
+# Every example asserts its own invariants and exits non-zero on failure.
+for example in quickstart editor_survives_crash inmemory_db web_sessions \
+    checkpoint_server hot_update; do
+    cargo run -q --release --example "$example" >/dev/null
+done
 
 cargo clippy --all-targets --all-features -- -D warnings
 cargo run -p ow-lint --release -- --deny

@@ -371,20 +371,7 @@ impl Workload for BlcrWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_simhw::machine::MachineConfig;
-
-    fn boot() -> Kernel {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 8192,
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: ow_simhw::CostModel::zero_io(),
-        });
-        let mut reg = ProgramRegistry::new();
-        register(&mut reg);
-        Kernel::boot_cold(machine, ow_kernel::KernelConfig::default(), reg).unwrap()
-    }
+    use crate::test_kernel as boot;
 
     #[test]
     fn pattern_and_shadow_agree() {

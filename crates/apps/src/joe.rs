@@ -13,7 +13,10 @@
 
 use crate::{
     memio,
-    workload::{pid_of, AppMeta, BatchShadow, VerifyResult, WorkRng, Workload},
+    workload::{
+        keystroke_batch, terminal_of, verify_shadow, AppMeta, BatchShadow, VerifyResult, WorkRng,
+        Workload,
+    },
 };
 use ow_kernel::{
     layout::oflags,
@@ -301,25 +304,17 @@ impl JoeWorkload {
             unfixed: false,
         }
     }
+}
 
-    fn gen_key(&mut self) -> u8 {
-        match self.rng.below(100) {
-            0..=69 => self.rng.printable(),
-            70..=77 => 0x08,
-            78..=84 => 0x15,
-            85..=90 => 0x01,
-            91..=93 => 0x06,
-            94..=96 => 0x17,
-            _ => b'\n',
-        }
-    }
-
-    fn prog_name(&self) -> &'static str {
-        if self.unfixed {
-            "joe-unfixed"
-        } else {
-            "joe"
-        }
+fn gen_key(rng: &mut WorkRng) -> u8 {
+    match rng.below(100) {
+        0..=69 => rng.printable(),
+        70..=77 => 0x08,
+        78..=84 => 0x15,
+        85..=90 => 0x01,
+        91..=93 => 0x06,
+        94..=96 => 0x17,
+        _ => b'\n',
     }
 }
 
@@ -335,9 +330,8 @@ impl Workload for JoeWorkload {
     fn setup(&mut self, k: &mut Kernel) -> u64 {
         let term = k.create_terminal().expect("terminal");
         self.term = Some(term);
-        let name = self.prog_name();
         let mut spec = SpawnSpec::new(
-            name,
+            self.name(),
             Box::new(Joe {
                 retry_reads: !self.unfixed,
             }),
@@ -349,79 +343,30 @@ impl Workload for JoeWorkload {
 
     fn drive(&mut self, k: &mut Kernel, _pid: u64) {
         let term = self.term.expect("setup ran");
-        let keys: Vec<u8> = (0..8).map(|_| self.gen_key()).collect();
-        self.shadow.begin_batch(
-            keys.iter()
-                .map(|&b| {
-                    Box::new(move |s: &mut JoeState| shadow_apply(s, b))
-                        as Box<dyn Fn(&mut JoeState)>
-                })
-                .collect(),
+        keystroke_batch(
+            k,
+            term,
+            &mut self.shadow,
+            || gen_key(&mut self.rng),
+            shadow_apply,
         );
-        let _ = k.term_input(term, &keys);
-        for _ in 0..64 {
-            if k.panicked.is_some() {
-                return;
-            }
-            k.run_step();
-            let drained = k
-                .terms
-                .iter()
-                .find(|t| t.id == term)
-                .map(|t| t.input.is_empty())
-                .unwrap_or(true);
-            if drained {
-                break;
-            }
-        }
-        if k.panicked.is_none() {
-            for _ in 0..2 {
-                k.run_step();
-            }
-            self.shadow.commit();
-        }
     }
 
     fn reconnect(&mut self, k: &mut Kernel, pid: u64) {
-        if let Ok(desc) = k.read_desc(pid) {
-            if desc.term_id != u32::MAX {
-                self.term = Some(desc.term_id);
-            }
-        }
+        self.term = terminal_of(k, pid).or(self.term);
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        let Some(pid) = pid_of(k, self.name()) else {
-            return VerifyResult::Missing;
-        };
-        let Some(state) = read_state(k, pid) else {
-            return VerifyResult::Missing;
-        };
-        if self.shadow.matches(|s| *s == state) {
-            VerifyResult::Intact
-        } else {
-            VerifyResult::Corrupted("editor state diverged from remote log".into())
-        }
+        verify_shadow(k, self.name(), &self.shadow, read_state, |_| {
+            "editor state diverged from remote log".into()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_simhw::machine::MachineConfig;
-
-    fn boot() -> Kernel {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 4096,
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: ow_simhw::CostModel::zero_io(),
-        });
-        let mut reg = ProgramRegistry::new();
-        register(&mut reg);
-        Kernel::boot_cold(machine, ow_kernel::KernelConfig::default(), reg).unwrap()
-    }
+    use crate::test_kernel as boot;
 
     #[test]
     fn windows_are_independent() {

@@ -82,3 +82,15 @@ pub fn table2_rows() -> Vec<AppMeta> {
         blcr::meta(),
     ]
 }
+
+/// Boots a kernel on a 32 MiB machine with zero-cost I/O and every
+/// application installed (the apps' unit tests).
+#[cfg(test)]
+pub(crate) fn test_kernel() -> Kernel {
+    let machine = MachineConfig {
+        ram_frames: 8192,
+        cost: ow_simhw::CostModel::zero_io(),
+        ..MachineConfig::default()
+    };
+    boot(machine, KernelConfig::default()).expect("boot")
+}

@@ -3,9 +3,11 @@
 //! Programs must keep *all* of their data in their simulated address space
 //! (that is what resurrection preserves). These helpers give the apps a
 //! small typed layer over [`UserApi::mem_read`]/[`UserApi::mem_write`]:
-//! length-prefixed byte strings and u64 cells.
+//! length-prefixed byte strings and u64 cells, plus the one step every
+//! socket server runs (`serve_step`), which keeps its listener in such a
+//! cell.
 
-use ow_kernel::{Errno, UserApi};
+use ow_kernel::{Errno, StepResult, UserApi};
 
 /// Reads a `u64` cell.
 pub fn get_u64(api: &mut dyn UserApi, vaddr: u64) -> Result<u64, Errno> {
@@ -111,4 +113,42 @@ impl UserBump {
         api.mem_write_u64(self.cursor_cell, cur + size)?;
         Ok(cur)
     }
+}
+
+/// One step of a socket server whose listening socket id lives in user
+/// memory at `sid_cell` (`u64::MAX` while it has none): opens a listener
+/// if the cell holds none, then receives one message of up to `buf_len`
+/// bytes and hands it to `handle` with the listener. With nothing queued
+/// the server idles for `idle_cycles`; a dead listener (one a resurrection
+/// did not bring back) is dropped, so the next step opens a fresh one.
+pub(crate) fn serve_step(
+    api: &mut dyn UserApi,
+    sid_cell: u64,
+    buf_len: usize,
+    idle_cycles: u64,
+    handle: impl FnOnce(&mut dyn UserApi, u32, &[u8]),
+) -> StepResult {
+    let Ok(sid) = open_listener(api, sid_cell) else {
+        return StepResult::Running;
+    };
+    let mut buf = vec![0u8; buf_len];
+    match api.sock_recv(sid, &mut buf) {
+        Ok(_) => handle(api, sid, &buf),
+        Err(Errno::WouldBlock) => api.compute(idle_cycles),
+        Err(Errno::Restart) => {}
+        Err(_) => {
+            let _ = api.mem_write_u64(sid_cell, u64::MAX);
+        }
+    }
+    StepResult::Running
+}
+
+fn open_listener(api: &mut dyn UserApi, sid_cell: u64) -> Result<u32, Errno> {
+    let sid = api.mem_read_u64(sid_cell)?;
+    if sid != u64::MAX {
+        return Ok(sid as u32);
+    }
+    let new = api.socket()?;
+    api.mem_write_u64(sid_cell, new as u64)?;
+    Ok(new)
 }

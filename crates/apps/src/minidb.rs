@@ -12,13 +12,15 @@
 //! `[op u8][table 8B][idx 8B][row 64B]` with op 1=INSERT 2=UPDATE 3=DELETE.
 
 use crate::{
-    mempse,
-    workload::{pid_of, AppMeta, BatchShadow, VerifyResult, WorkRng, Workload},
+    memio, mempse,
+    workload::{
+        pid_of, request_batch, start_server, AppMeta, BatchShadow, VerifyResult, WorkRng, Workload,
+    },
 };
 use ow_kernel::{
     layout::oflags,
     program::{CrashAction, Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
-    Errno, Kernel, SpawnSpec,
+    Errno, Kernel,
 };
 use std::collections::BTreeMap;
 
@@ -38,6 +40,9 @@ pub const DUMP_FILE: &str = "/mysql.dump";
 const OP_INSERT: u8 = 1;
 const OP_UPDATE: u8 = 2;
 const OP_DELETE: u8 = 3;
+
+/// Bytes of one wire request.
+const REQUEST_LEN: usize = 17 + mempse::ROW_SIZE as usize;
 
 /// One wire request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +71,7 @@ impl Request {
 
     /// Decodes from the wire format.
     pub fn decode(buf: &[u8]) -> Option<Request> {
-        if buf.len() < 17 + mempse::ROW_SIZE as usize {
+        if buf.len() < REQUEST_LEN {
             return None;
         }
         Some(Request {
@@ -99,49 +104,20 @@ impl MiniDb {
         api.mem_write_u64(APPLIED_CELL, applied + 1)?;
         Ok(())
     }
-
-    fn ensure_socket(api: &mut dyn UserApi) -> Result<u32, Errno> {
-        let sid = api.mem_read_u64(SID_CELL)?;
-        if sid != u64::MAX {
-            return Ok(sid as u32);
-        }
-        let new = api.socket()?;
-        api.mem_write_u64(SID_CELL, new as u64)?;
-        Ok(new)
-    }
 }
 
 impl Program for MiniDb {
     fn step(&mut self, api: &mut dyn UserApi) -> StepResult {
-        let sid = match Self::ensure_socket(api) {
-            Ok(s) => s,
-            Err(_) => return StepResult::Running,
-        };
-        let mut buf = vec![0u8; 17 + mempse::ROW_SIZE as usize];
-        match api.sock_recv(sid, &mut buf) {
-            Ok(_) => {
-                if let Some(req) = Request::decode(&buf) {
-                    // Query parsing, planning and execution: compute plus a
-                    // buffer-pool walk over the table arena.
-                    api.compute(1100);
-                    crate::memio::churn(api, mempse::ARENA_BASE, 320, 48, req.idx);
-                    let ok = Self::apply(api, &req).is_ok();
-                    let _ = api.sock_send(sid, if ok { b"OK" } else { b"ER" });
-                }
-                StepResult::Running
+        memio::serve_step(api, SID_CELL, REQUEST_LEN, 2, |api, sid, buf| {
+            if let Some(req) = Request::decode(buf) {
+                // Query parsing, planning and execution: compute plus a
+                // buffer-pool walk over the table arena.
+                api.compute(1100);
+                memio::churn(api, mempse::ARENA_BASE, 320, 48, req.idx);
+                let ok = Self::apply(api, &req).is_ok();
+                let _ = api.sock_send(sid, if ok { b"OK" } else { b"ER" });
             }
-            Err(Errno::WouldBlock) => {
-                api.compute(2);
-                StepResult::Running
-            }
-            Err(Errno::Restart) => StepResult::Running,
-            Err(_) => {
-                // Connection died (e.g. after a resurrection the crash
-                // procedure declined): open a fresh listening socket.
-                let _ = api.mem_write_u64(SID_CELL, u64::MAX);
-                StepResult::Running
-            }
-        }
+        })
     }
 
     fn save_state(&mut self, _api: &mut dyn UserApi) {}
@@ -319,35 +295,24 @@ impl MiniDbWorkload {
             shadow: BatchShadow::new(initial),
         }
     }
+}
 
-    fn gen_request(&mut self) -> Request {
-        let table = TABLES[self.rng.below(TABLES.len() as u64) as usize].to_string();
-        let op = match self.rng.below(10) {
-            0..=5 => OP_INSERT,
-            6..=8 => OP_UPDATE,
-            _ => OP_DELETE,
-        };
-        let mut row = vec![0u8; mempse::ROW_SIZE as usize];
-        for b in row.iter_mut() {
-            *b = self.rng.printable();
-        }
-        Request {
-            op,
-            table,
-            idx: self.rng.next_u64(),
-            row,
-        }
+fn gen_request(rng: &mut WorkRng) -> Request {
+    let table = TABLES[rng.below(TABLES.len() as u64) as usize].to_string();
+    let op = match rng.below(10) {
+        0..=5 => OP_INSERT,
+        6..=8 => OP_UPDATE,
+        _ => OP_DELETE,
+    };
+    let mut row = vec![0u8; mempse::ROW_SIZE as usize];
+    for b in row.iter_mut() {
+        *b = rng.printable();
     }
-
-    fn server_sid(k: &mut Kernel, pid: u64) -> Option<u32> {
-        let mut b = [0u8; 8];
-        k.user_read(pid, SID_CELL, &mut b).ok()?;
-        let sid = u64::from_le_bytes(b);
-        if sid == u64::MAX {
-            None
-        } else {
-            Some(sid as u32)
-        }
+    Request {
+        op,
+        table,
+        idx: rng.next_u64(),
+        row,
     }
 }
 
@@ -357,64 +322,19 @@ impl Workload for MiniDbWorkload {
     }
 
     fn setup(&mut self, k: &mut Kernel) -> u64 {
-        let mut spec = SpawnSpec::new("mysqld", Box::new(MiniDb));
-        spec.heap_pages = 16;
-        let pid = crate::exec(k, spec, &[]);
-        // Let the server open its socket.
-        for _ in 0..4 {
-            k.run_step();
-        }
-        pid
+        start_server(k, "mysqld", Box::new(MiniDb))
     }
 
     fn drive(&mut self, k: &mut Kernel, pid: u64) {
-        let Some(sid) = Self::server_sid(k, pid) else {
-            // Server not ready yet; give it time.
-            for _ in 0..4 {
-                k.run_step();
-            }
-            return;
-        };
-        let reqs: Vec<Request> = (0..4).map(|_| self.gen_request()).collect();
-        self.shadow.begin_batch(
-            reqs.iter()
-                .cloned()
-                .map(|r| {
-                    Box::new(move |s: &mut DbState| shadow_apply(s, &r))
-                        as Box<dyn Fn(&mut DbState)>
-                })
-                .collect(),
+        request_batch(
+            k,
+            pid,
+            SID_CELL,
+            &mut self.shadow,
+            || gen_request(&mut self.rng),
+            Request::encode,
+            shadow_apply,
         );
-        for r in &reqs {
-            let _ = k.sock_deliver(pid, sid, &r.encode());
-        }
-        for _ in 0..64 {
-            if k.panicked.is_some() {
-                return;
-            }
-            k.run_step();
-            let drained = k
-                .proc(pid)
-                .ok()
-                .and_then(|p| p.sockets.iter().find(|s| s.sid == sid))
-                .map(|s| s.inbox.is_empty())
-                .unwrap_or(true);
-            if drained {
-                break;
-            }
-        }
-        if k.panicked.is_none() {
-            for _ in 0..2 {
-                k.run_step();
-            }
-            let _ = k.sock_drain(pid, sid); // collect "OK" replies
-            self.shadow.commit();
-        }
-    }
-
-    fn reconnect(&mut self, _k: &mut Kernel, _pid: u64) {
-        // The client reconnects by reading the server's new socket id; no
-        // driver state to fix.
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
@@ -452,20 +372,8 @@ impl Workload for MiniDbWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_simhw::machine::MachineConfig;
-
-    fn boot() -> Kernel {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 8192,
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: ow_simhw::CostModel::zero_io(),
-        });
-        let mut reg = ProgramRegistry::new();
-        register(&mut reg);
-        Kernel::boot_cold(machine, ow_kernel::KernelConfig::default(), reg).unwrap()
-    }
+    use crate::test_kernel as boot;
+    use ow_kernel::SpawnSpec;
 
     #[test]
     fn request_codec_round_trip() {

@@ -13,7 +13,10 @@
 
 use crate::{
     memio,
-    workload::{pid_of, AppMeta, BatchShadow, VerifyResult, WorkRng, Workload},
+    workload::{
+        keystroke_batch, terminal_of, verify_shadow, AppMeta, BatchShadow, VerifyResult, WorkRng,
+        Workload,
+    },
 };
 use ow_kernel::{
     layout::oflags,
@@ -248,15 +251,15 @@ impl ViWorkload {
             term: None,
         }
     }
+}
 
-    fn gen_key(&mut self) -> u8 {
-        match self.rng.below(100) {
-            0..=79 => self.rng.printable(),
-            80..=87 => 0x08,
-            88..=93 => 0x15,
-            94..=96 => 0x17,
-            _ => b'\n',
-        }
+fn gen_key(rng: &mut WorkRng) -> u8 {
+    match rng.below(100) {
+        0..=79 => rng.printable(),
+        80..=87 => 0x08,
+        88..=93 => 0x15,
+        94..=96 => 0x17,
+        _ => b'\n',
     }
 }
 
@@ -273,89 +276,37 @@ impl Workload for ViWorkload {
         crate::exec(k, spec, &[])
     }
 
-    fn drive(&mut self, k: &mut Kernel, pid: u64) {
+    fn drive(&mut self, k: &mut Kernel, _pid: u64) {
         let term = self.term.expect("setup ran");
-        // One batch of keystrokes.
-        let keys: Vec<u8> = (0..8).map(|_| self.gen_key()).collect();
-        self.shadow.begin_batch(
-            keys.iter()
-                .map(|&b| {
-                    Box::new(move |s: &mut ViState| shadow_apply(s, b)) as Box<dyn Fn(&mut ViState)>
-                })
-                .collect(),
+        keystroke_batch(
+            k,
+            term,
+            &mut self.shadow,
+            || gen_key(&mut self.rng),
+            shadow_apply,
         );
-        let _ = k.term_input(term, &keys);
-        // Run until the editor consumed the batch (or the kernel died).
-        for _ in 0..64 {
-            if k.panicked.is_some() {
-                return;
-            }
-            k.run_step();
-            let drained = k
-                .terms
-                .iter()
-                .find(|t| t.id == term)
-                .map(|t| t.input.is_empty())
-                .unwrap_or(true);
-            if drained {
-                break;
-            }
-        }
-        if k.panicked.is_none() {
-            // A couple of extra steps so the last key is fully applied.
-            for _ in 0..2 {
-                k.run_step();
-            }
-            self.shadow.commit();
-        }
-        let _ = pid;
     }
 
     fn reconnect(&mut self, k: &mut Kernel, pid: u64) {
         // The resurrected process has a restored terminal; track its id.
-        if let Ok(desc) = k.read_desc(pid) {
-            if desc.term_id != u32::MAX {
-                self.term = Some(desc.term_id);
-            }
-        }
+        self.term = terminal_of(k, pid).or(self.term);
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        let Some(pid) = pid_of(k, "vi") else {
-            return VerifyResult::Missing;
-        };
-        let Some(state) = read_state(k, pid) else {
-            return VerifyResult::Missing;
-        };
-        if self.shadow.matches(|s| *s == state) {
-            VerifyResult::Intact
-        } else {
-            VerifyResult::Corrupted(format!(
+        verify_shadow(k, "vi", &self.shadow, read_state, |state| {
+            format!(
                 "text len {} vs shadow {}",
                 state.text.len(),
                 self.shadow.committed.text.len()
-            ))
-        }
+            )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_simhw::machine::MachineConfig;
-
-    fn boot() -> Kernel {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 4096,
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: ow_simhw::CostModel::zero_io(),
-        });
-        let mut reg = ProgramRegistry::new();
-        register(&mut reg);
-        Kernel::boot_cold(machine, ow_kernel::KernelConfig::default(), reg).unwrap()
-    }
+    use crate::test_kernel as boot;
 
     #[test]
     fn typing_builds_the_buffer() {

@@ -8,10 +8,16 @@
 //! per member — so a single request costs ~10 syscalls and touches several
 //! pages.
 
-use crate::workload::{pid_of, AppMeta, BatchShadow, VerifyResult, WorkRng, Workload};
+use crate::{
+    memio,
+    workload::{
+        request_batch, start_server, verify_shadow, AppMeta, BatchShadow, VerifyResult, WorkRng,
+        Workload,
+    },
+};
 use ow_kernel::{
     program::{CrashAction, Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
-    Errno, Kernel, SpawnSpec,
+    Errno, Kernel,
 };
 
 /// Global cell: server socket id.
@@ -31,6 +37,9 @@ pub const ROOM_STRIDE: u64 = 0x1_0000;
 pub const ROOM_CAP: u64 = ROOM_STRIDE - 8;
 /// Per-user state pages (touched on every delivery — TLB pressure).
 pub const USER_BASE: u64 = 0x50_0000;
+
+/// Bytes of the longest wire message.
+const MSG_MAX: usize = 3 + 255;
 
 /// One chat message: `[room u8][user u8][len u8][text...]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,16 +89,6 @@ fn user_addr(room: u8, user: u8) -> u64 {
 pub struct Volano;
 
 impl Volano {
-    fn ensure_socket(api: &mut dyn UserApi) -> Result<u32, Errno> {
-        let sid = api.mem_read_u64(SID_CELL)?;
-        if sid != u64::MAX {
-            return Ok(sid as u32);
-        }
-        let new = api.socket()?;
-        api.mem_write_u64(SID_CELL, new as u64)?;
-        Ok(new)
-    }
-
     fn handle(api: &mut dyn UserApi, sock: u32, msg: &ChatMsg) -> Result<(), Errno> {
         if msg.room as u64 >= ROOMS || msg.user as u64 >= USERS {
             return Err(Errno::Inval);
@@ -117,31 +116,14 @@ impl Volano {
 
 impl Program for Volano {
     fn step(&mut self, api: &mut dyn UserApi) -> StepResult {
-        let sock = match Self::ensure_socket(api) {
-            Ok(s) => s,
-            Err(_) => return StepResult::Running,
-        };
-        let mut buf = vec![0u8; 3 + 255];
-        match api.sock_recv(sock, &mut buf) {
-            Ok(_) => {
-                if let Some(msg) = ChatMsg::decode(&buf) {
-                    // Message formatting is cheap; the cost is the fan-out.
-                    api.compute(900);
-                    crate::memio::churn(api, ROOM_BASE, 80, 36, msg.user as u64);
-                    let _ = Self::handle(api, sock, &msg);
-                }
-                StepResult::Running
+        memio::serve_step(api, SID_CELL, MSG_MAX, 1, |api, sock, buf| {
+            if let Some(msg) = ChatMsg::decode(buf) {
+                // Message formatting is cheap; the cost is the fan-out.
+                api.compute(900);
+                memio::churn(api, ROOM_BASE, 80, 36, msg.user as u64);
+                let _ = Self::handle(api, sock, &msg);
             }
-            Err(Errno::WouldBlock) => {
-                api.compute(1);
-                StepResult::Running
-            }
-            Err(Errno::Restart) => StepResult::Running,
-            Err(_) => {
-                let _ = api.mem_write_u64(SID_CELL, u64::MAX);
-                StepResult::Running
-            }
-        }
+        })
     }
 
     fn save_state(&mut self, _api: &mut dyn UserApi) {}
@@ -236,25 +218,14 @@ impl VolanoWorkload {
             shadow: BatchShadow::new(ChatState::new()),
         }
     }
+}
 
-    fn gen_msg(&mut self) -> ChatMsg {
-        let len = 8 + self.rng.below(24) as usize;
-        ChatMsg {
-            room: self.rng.below(ROOMS) as u8,
-            user: self.rng.below(USERS) as u8,
-            text: (0..len).map(|_| self.rng.printable()).collect(),
-        }
-    }
-
-    fn server_sid(k: &mut Kernel, pid: u64) -> Option<u32> {
-        let mut b = [0u8; 8];
-        k.user_read(pid, SID_CELL, &mut b).ok()?;
-        let sid = u64::from_le_bytes(b);
-        if sid == u64::MAX {
-            None
-        } else {
-            Some(sid as u32)
-        }
+fn gen_msg(rng: &mut WorkRng) -> ChatMsg {
+    let len = 8 + rng.below(24) as usize;
+    ChatMsg {
+        room: rng.below(ROOMS) as u8,
+        user: rng.below(USERS) as u8,
+        text: (0..len).map(|_| rng.printable()).collect(),
     }
 }
 
@@ -264,91 +235,32 @@ impl Workload for VolanoWorkload {
     }
 
     fn setup(&mut self, k: &mut Kernel) -> u64 {
-        let mut spec = SpawnSpec::new("volano", Box::new(Volano));
-        spec.heap_pages = 16;
-        let pid = crate::exec(k, spec, &[]);
-        for _ in 0..4 {
-            k.run_step();
-        }
-        pid
+        start_server(k, "volano", Box::new(Volano))
     }
 
     fn drive(&mut self, k: &mut Kernel, pid: u64) {
-        let Some(sid) = Self::server_sid(k, pid) else {
-            for _ in 0..4 {
-                k.run_step();
-            }
-            return;
-        };
-        let msgs: Vec<ChatMsg> = (0..4).map(|_| self.gen_msg()).collect();
-        self.shadow.begin_batch(
-            msgs.iter()
-                .cloned()
-                .map(|m| {
-                    Box::new(move |s: &mut ChatState| shadow_apply(s, &m))
-                        as Box<dyn Fn(&mut ChatState)>
-                })
-                .collect(),
+        request_batch(
+            k,
+            pid,
+            SID_CELL,
+            &mut self.shadow,
+            || gen_msg(&mut self.rng),
+            ChatMsg::encode,
+            shadow_apply,
         );
-        for m in &msgs {
-            let _ = k.sock_deliver(pid, sid, &m.encode());
-        }
-        for _ in 0..64 {
-            if k.panicked.is_some() {
-                return;
-            }
-            k.run_step();
-            let drained = k
-                .proc(pid)
-                .ok()
-                .and_then(|p| p.sockets.iter().find(|s| s.sid == sid))
-                .map(|s| s.inbox.is_empty())
-                .unwrap_or(true);
-            if drained {
-                break;
-            }
-        }
-        if k.panicked.is_none() {
-            for _ in 0..2 {
-                k.run_step();
-            }
-            let _ = k.sock_drain(pid, sid); // fan-out deliveries
-            self.shadow.commit();
-        }
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        let Some(pid) = pid_of(k, "volano") else {
-            return VerifyResult::Missing;
-        };
-        let Some(state) = read_rooms(k, pid) else {
-            return VerifyResult::Missing;
-        };
-        if self.shadow.matches(|s| *s == state) {
-            VerifyResult::Intact
-        } else {
-            VerifyResult::Corrupted("room histories diverge from the client log".into())
-        }
+        verify_shadow(k, "volano", &self.shadow, read_rooms, |_| {
+            "room histories diverge from the client log".into()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_simhw::machine::MachineConfig;
-
-    fn boot() -> Kernel {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 8192,
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: ow_simhw::CostModel::zero_io(),
-        });
-        let mut reg = ProgramRegistry::new();
-        register(&mut reg);
-        Kernel::boot_cold(machine, ow_kernel::KernelConfig::default(), reg).unwrap()
-    }
+    use crate::{test_kernel as boot, workload::listener};
 
     #[test]
     fn codec_round_trip() {
@@ -381,7 +293,7 @@ mod tests {
         for _ in 0..4 {
             k.run_step();
         }
-        let sid = VolanoWorkload::server_sid(&mut k, pid).unwrap();
+        let sid = listener(&mut k, pid, SID_CELL).unwrap();
         let m = ChatMsg {
             room: 0,
             user: 0,

@@ -11,11 +11,17 @@
 //!
 //! Wire protocol: `[op u8][sid 8B][len 8B][data 112B]`, op 1=SET 2=DEL.
 
-use crate::workload::{pid_of, AppMeta, BatchShadow, VerifyResult, WorkRng, Workload};
+use crate::{
+    memio,
+    workload::{
+        request_batch, start_server, verify_shadow, AppMeta, BatchShadow, VerifyResult, WorkRng,
+        Workload,
+    },
+};
 use ow_kernel::{
     layout::oflags,
     program::{CrashAction, Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
-    Errno, Kernel, SpawnSpec,
+    Errno, Kernel,
 };
 use std::collections::BTreeMap;
 
@@ -49,6 +55,9 @@ pub const DOCROOT_PAGES: u64 = 128;
 const OP_SET: u8 = 1;
 const OP_DEL: u8 = 2;
 
+/// Bytes of one wire request.
+const REQUEST_LEN: usize = 17 + DATA_SIZE;
+
 /// One session request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -74,7 +83,7 @@ impl Request {
 
     /// Decodes from the wire format.
     pub fn decode(buf: &[u8]) -> Option<Request> {
-        if buf.len() < 17 + DATA_SIZE {
+        if buf.len() < REQUEST_LEN {
             return None;
         }
         let len = (u64::from_le_bytes(buf[9..17].try_into().ok()?) as usize).min(DATA_SIZE);
@@ -161,52 +170,23 @@ fn all_sessions(api: &mut dyn UserApi) -> Result<Vec<(u64, Vec<u8>)>, Errno> {
 /// The web application server program.
 pub struct WebServ;
 
-impl WebServ {
-    fn ensure_socket(api: &mut dyn UserApi) -> Result<u32, Errno> {
-        let sid = api.mem_read_u64(SID_CELL)?;
-        if sid != u64::MAX {
-            return Ok(sid as u32);
-        }
-        let new = api.socket()?;
-        api.mem_write_u64(SID_CELL, new as u64)?;
-        Ok(new)
-    }
-}
-
 impl Program for WebServ {
     fn step(&mut self, api: &mut dyn UserApi) -> StepResult {
-        let sock = match Self::ensure_socket(api) {
-            Ok(s) => s,
-            Err(_) => return StepResult::Running,
-        };
-        let mut buf = vec![0u8; 17 + DATA_SIZE];
-        match api.sock_recv(sock, &mut buf) {
-            Ok(_) => {
-                if let Some(req) = Request::decode(&buf) {
-                    // Request parsing and PHP page execution: compute plus
-                    // a walk over the session table working set.
-                    api.compute(700);
-                    crate::memio::churn(api, DOCROOT_VADDR, 128, 16, req.sid);
-                    crate::memio::churn(api, SHM_VADDR, 32, 6, req.sid);
-                    let ok = match req.op {
-                        OP_SET => set_session(api, req.sid, &req.data).is_ok(),
-                        OP_DEL => del_session(api, req.sid).is_ok(),
-                        _ => false,
-                    };
-                    let _ = api.sock_send(sock, if ok { b"200" } else { b"500" });
-                }
-                StepResult::Running
+        memio::serve_step(api, SID_CELL, REQUEST_LEN, 3, |api, sock, buf| {
+            if let Some(req) = Request::decode(buf) {
+                // Request parsing and PHP page execution: compute plus a
+                // walk over the session table working set.
+                api.compute(700);
+                memio::churn(api, DOCROOT_VADDR, 128, 16, req.sid);
+                memio::churn(api, SHM_VADDR, 32, 6, req.sid);
+                let ok = match req.op {
+                    OP_SET => set_session(api, req.sid, &req.data).is_ok(),
+                    OP_DEL => del_session(api, req.sid).is_ok(),
+                    _ => false,
+                };
+                let _ = api.sock_send(sock, if ok { b"200" } else { b"500" });
             }
-            Err(Errno::WouldBlock) => {
-                api.compute(3);
-                StepResult::Running
-            }
-            Err(Errno::Restart) => StepResult::Running,
-            Err(_) => {
-                let _ = api.mem_write_u64(SID_CELL, u64::MAX);
-                StepResult::Running
-            }
-        }
+        })
     }
 
     fn save_state(&mut self, _api: &mut dyn UserApi) {}
@@ -348,30 +328,15 @@ impl WebServWorkload {
             shadow: BatchShadow::new(SessionState::new()),
         }
     }
+}
 
-    fn gen_request(&mut self) -> Request {
-        // Keep the sid space small so sessions get updated and deleted.
-        let sid = 1 + self.rng.below(64);
-        let op = if self.rng.below(10) < 8 {
-            OP_SET
-        } else {
-            OP_DEL
-        };
-        let len = 16 + self.rng.below(64) as usize;
-        let data = (0..len).map(|_| self.rng.printable()).collect();
-        Request { op, sid, data }
-    }
-
-    fn server_sid(k: &mut Kernel, pid: u64) -> Option<u32> {
-        let mut b = [0u8; 8];
-        k.user_read(pid, SID_CELL, &mut b).ok()?;
-        let sid = u64::from_le_bytes(b);
-        if sid == u64::MAX {
-            None
-        } else {
-            Some(sid as u32)
-        }
-    }
+fn gen_request(rng: &mut WorkRng) -> Request {
+    // Keep the sid space small so sessions get updated and deleted.
+    let sid = 1 + rng.below(64);
+    let op = if rng.below(10) < 8 { OP_SET } else { OP_DEL };
+    let len = 16 + rng.below(64) as usize;
+    let data = (0..len).map(|_| rng.printable()).collect();
+    Request { op, sid, data }
 }
 
 impl Workload for WebServWorkload {
@@ -380,91 +345,32 @@ impl Workload for WebServWorkload {
     }
 
     fn setup(&mut self, k: &mut Kernel) -> u64 {
-        let mut spec = SpawnSpec::new("httpd", Box::new(WebServ));
-        spec.heap_pages = 16;
-        let pid = crate::exec(k, spec, &[]);
-        for _ in 0..4 {
-            k.run_step();
-        }
-        pid
+        start_server(k, "httpd", Box::new(WebServ))
     }
 
     fn drive(&mut self, k: &mut Kernel, pid: u64) {
-        let Some(sid) = Self::server_sid(k, pid) else {
-            for _ in 0..4 {
-                k.run_step();
-            }
-            return;
-        };
-        let reqs: Vec<Request> = (0..4).map(|_| self.gen_request()).collect();
-        self.shadow.begin_batch(
-            reqs.iter()
-                .cloned()
-                .map(|r| {
-                    Box::new(move |s: &mut SessionState| shadow_apply(s, &r))
-                        as Box<dyn Fn(&mut SessionState)>
-                })
-                .collect(),
+        request_batch(
+            k,
+            pid,
+            SID_CELL,
+            &mut self.shadow,
+            || gen_request(&mut self.rng),
+            Request::encode,
+            shadow_apply,
         );
-        for r in &reqs {
-            let _ = k.sock_deliver(pid, sid, &r.encode());
-        }
-        for _ in 0..64 {
-            if k.panicked.is_some() {
-                return;
-            }
-            k.run_step();
-            let drained = k
-                .proc(pid)
-                .ok()
-                .and_then(|p| p.sockets.iter().find(|s| s.sid == sid))
-                .map(|s| s.inbox.is_empty())
-                .unwrap_or(true);
-            if drained {
-                break;
-            }
-        }
-        if k.panicked.is_none() {
-            for _ in 0..2 {
-                k.run_step();
-            }
-            let _ = k.sock_drain(pid, sid);
-            self.shadow.commit();
-        }
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        let Some(pid) = pid_of(k, "httpd") else {
-            return VerifyResult::Missing;
-        };
-        let Some(state) = read_sessions(k, pid) else {
-            return VerifyResult::Missing;
-        };
-        if self.shadow.matches(|s| *s == state) {
-            VerifyResult::Intact
-        } else {
-            VerifyResult::Corrupted("session store diverges from the client log".into())
-        }
+        verify_shadow(k, "httpd", &self.shadow, read_sessions, |_| {
+            "session store diverges from the client log".into()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ow_simhw::machine::MachineConfig;
-
-    fn boot() -> Kernel {
-        let machine = ow_kernel::standard_machine(MachineConfig {
-            ram_frames: 8192,
-            cpus: 2,
-            tlb_entries: 64,
-            tlb_tagged: true,
-            cost: ow_simhw::CostModel::zero_io(),
-        });
-        let mut reg = ProgramRegistry::new();
-        register(&mut reg);
-        Kernel::boot_cold(machine, ow_kernel::KernelConfig::default(), reg).unwrap()
-    }
+    use crate::{test_kernel as boot, workload::listener};
 
     #[test]
     fn sessions_accumulate_and_match_shadow() {
@@ -497,7 +403,7 @@ mod tests {
         for _ in 0..4 {
             k.run_step();
         }
-        let sid = WebServWorkload::server_sid(&mut k, pid).unwrap();
+        let sid = listener(&mut k, pid, SID_CELL).unwrap();
         k.sock_deliver(
             pid,
             sid,

@@ -5,8 +5,14 @@
 //! application is known at every point in time; after resurrection the
 //! application's data is checked against that log. A [`Workload`] bundles
 //! the driver, the shadow model (the "remote log"), and the verifier.
+//!
+//! The client side of every protocol lives here once: the socket servers'
+//! request batch (`request_batch`), the editors' keystroke batch
+//! (`keystroke_batch`) and the check against the log (`verify_shadow`).
+//! Each application supplies only what differs: its wire codec, its request
+//! or key generator and its shadow apply function.
 
-use ow_kernel::Kernel;
+use ow_kernel::{Kernel, Program, SpawnSpec};
 
 /// Table 2 metadata for one application.
 #[derive(Debug, Clone)]
@@ -124,6 +130,165 @@ pub fn pid_of(k: &Kernel, name: &str) -> Option<u64> {
     k.procs.iter().find(|p| p.name == name).map(|p| p.pid)
 }
 
+/// Requests a client sends per batch.
+const REQUESTS_PER_BATCH: usize = 4;
+/// Keys a user types per batch.
+const KEYS_PER_BATCH: usize = 8;
+/// Scheduler steps a server is given to open its listener.
+const LISTEN_STEPS: u32 = 4;
+
+/// Starts socket server `name` with 16 heap pages and lets it open its
+/// listener; returns its pid.
+pub(crate) fn start_server(k: &mut Kernel, name: &str, program: Box<dyn Program>) -> u64 {
+    let mut spec = SpawnSpec::new(name, program);
+    spec.heap_pages = 16;
+    let pid = crate::exec(k, spec, &[]);
+    for _ in 0..LISTEN_STEPS {
+        k.run_step();
+    }
+    pid
+}
+
+/// The listening socket that server `pid` keeps in its cell `sid_cell`,
+/// or `None` while it has none open (see [`crate::memio::serve_step`]). A
+/// client finds the server through this cell, so reconnecting after a
+/// microreboot needs no driver state.
+pub(crate) fn listener(k: &mut Kernel, pid: u64, sid_cell: u64) -> Option<u32> {
+    let mut b = [0u8; 8];
+    k.user_read(pid, sid_cell, &mut b).ok()?;
+    match u64::from_le_bytes(b) {
+        u64::MAX => None,
+        sid => Some(sid as u32),
+    }
+}
+
+/// The terminal resurrected process `pid` is attached to, if any.
+pub(crate) fn terminal_of(k: &Kernel, pid: u64) -> Option<u32> {
+    let term = k.read_desc(pid).ok()?.term_id;
+    (term != u32::MAX).then_some(term)
+}
+
+/// One client batch against socket server `pid`: draws four requests from
+/// `gen`, logs them in `shadow` (applied with `apply`), delivers each
+/// `encode`d to the listener in `sid_cell`, and runs the kernel until the
+/// server consumed them; then collects the replies and commits the batch.
+/// While the server has no listener the client draws nothing and gives it
+/// time to open one.
+pub(crate) fn request_batch<S: Clone + 'static, R: Clone + 'static>(
+    k: &mut Kernel,
+    pid: u64,
+    sid_cell: u64,
+    shadow: &mut BatchShadow<S>,
+    mut gen: impl FnMut() -> R,
+    encode: fn(&R) -> Vec<u8>,
+    apply: fn(&mut S, &R),
+) {
+    let Some(sid) = listener(k, pid, sid_cell) else {
+        for _ in 0..LISTEN_STEPS {
+            k.run_step();
+        }
+        return;
+    };
+    let reqs: Vec<R> = (0..REQUESTS_PER_BATCH).map(|_| gen()).collect();
+    shadow.begin_batch(
+        reqs.iter()
+            .cloned()
+            .map(|r| Box::new(move |s: &mut S| apply(s, &r)) as ShadowOp<S>)
+            .collect(),
+    );
+    for r in &reqs {
+        let _ = k.sock_deliver(pid, sid, &encode(r));
+    }
+    let drained = |k: &Kernel| {
+        k.proc(pid)
+            .ok()
+            .and_then(|p| p.sockets.iter().find(|s| s.sid == sid))
+            .is_none_or(|s| s.inbox.is_empty())
+    };
+    if run_batch(k, drained) {
+        let _ = k.sock_drain(pid, sid); // the replies
+        shadow.commit();
+    }
+}
+
+/// One typing batch: draws eight keys from `gen`, logs them in `shadow`
+/// (applied with `apply`), types them on terminal `term` and runs the
+/// kernel until the editor read them all; then commits the batch.
+pub(crate) fn keystroke_batch<S: Clone + 'static>(
+    k: &mut Kernel,
+    term: u32,
+    shadow: &mut BatchShadow<S>,
+    mut gen: impl FnMut() -> u8,
+    apply: fn(&mut S, u8),
+) {
+    let keys: Vec<u8> = (0..KEYS_PER_BATCH).map(|_| gen()).collect();
+    shadow.begin_batch(
+        keys.iter()
+            .map(|&b| Box::new(move |s: &mut S| apply(s, b)) as ShadowOp<S>)
+            .collect(),
+    );
+    let _ = k.term_input(term, &keys);
+    let drained = |k: &Kernel| {
+        k.terms
+            .iter()
+            .find(|t| t.id == term)
+            .is_none_or(|t| t.input.is_empty())
+    };
+    if run_batch(k, drained) {
+        shadow.commit();
+    }
+}
+
+/// Runs the kernel until `drained` reports the batch consumed (at most 64
+/// steps), then two more so its last item is fully applied. Returns false
+/// when the kernel panicked before those two steps: the batch then stays
+/// in flight.
+fn run_batch(k: &mut Kernel, drained: impl Fn(&Kernel) -> bool) -> bool {
+    for _ in 0..64 {
+        if k.panicked.is_some() {
+            return false;
+        }
+        k.run_step();
+        if drained(k) {
+            break;
+        }
+    }
+    if k.panicked.is_some() {
+        return false;
+    }
+    for _ in 0..2 {
+        k.run_step();
+    }
+    true
+}
+
+/// Checks process `name` against the remote log: reads its state back with
+/// `read`, and reports it intact when it equals any state the log deems
+/// legitimate, `Corrupted(why(state))` when it equals none, and missing
+/// when the process or its state cannot be read.
+pub(crate) fn verify_shadow<S: Clone + PartialEq>(
+    k: &mut Kernel,
+    name: &str,
+    shadow: &BatchShadow<S>,
+    read: fn(&mut Kernel, u64) -> Option<S>,
+    why: impl FnOnce(&S) -> String,
+) -> VerifyResult {
+    let Some(pid) = pid_of(k, name) else {
+        return VerifyResult::Missing;
+    };
+    let Some(state) = read(k, pid) else {
+        return VerifyResult::Missing;
+    };
+    if shadow.matches(|s| *s == state) {
+        VerifyResult::Intact
+    } else {
+        VerifyResult::Corrupted(why(&state))
+    }
+}
+
+/// One shadow operation applied to the model state.
+pub type ShadowOp<S> = Box<dyn Fn(&mut S)>;
+
 /// A shadow model with batch semantics.
 ///
 /// When a fault strikes mid-batch, the application has consumed only a
@@ -132,9 +297,6 @@ pub fn pid_of(k: &Kernel, name: &str) -> Option<u64> {
 /// accepts the application state matching the committed state *or* any
 /// prefix of the in-flight batch — exactly the set of states the remote
 /// log deems correct.
-/// One shadow operation applied to the model state.
-pub type ShadowOp<S> = Box<dyn Fn(&mut S)>;
-
 pub struct BatchShadow<S: Clone> {
     /// State with every previous batch fully applied.
     pub committed: S,

@@ -42,11 +42,26 @@ pub struct Table3Row {
 }
 
 /// The three applications of the paper's Table 3.
-const TABLE3_APPS: [(&str, &str); 3] = [
-    ("MySQL", "mysqld"),
-    ("Apache", "httpd"),
-    ("Volano", "volano"),
-];
+const TABLE3_APPS: [&str; 3] = ["mysqld", "httpd", "volano"];
+
+/// The paper's name for application `app`: its Table 2 name, or `shell`.
+///
+/// # Panics
+///
+/// Panics on an application the tables do not run.
+fn app_label(app: &str) -> &'static str {
+    let meta = match app {
+        "vi" => ow_apps::vi::meta(),
+        "joe" => ow_apps::joe::meta(),
+        "mysqld" => ow_apps::minidb::meta(),
+        "httpd" => ow_apps::webserv::meta(),
+        "blcr" => ow_apps::blcr::meta(),
+        "volano" => ow_apps::volano::meta(),
+        "shell" => return "shell",
+        other => panic!("no paper name for application {other}"),
+    };
+    meta.name
+}
 
 fn table3_cell(app: &str, measured_batches: u32, tlb_tagged: bool) -> Table3Cell {
     let row = perf::protection_overhead_on(
@@ -78,13 +93,13 @@ pub fn table3_jobs(measured_batches: u32, jobs: usize) -> Vec<Table3Row> {
         .flat_map(|a| [(a, true), (a, false)])
         .collect();
     let cells = ow_faultinject::parallel_map(jobs, &coords, |&(a, tagged), _| {
-        table3_cell(TABLE3_APPS[a].1, measured_batches, tagged)
+        table3_cell(TABLE3_APPS[a], measured_batches, tagged)
     });
     TABLE3_APPS
         .iter()
         .enumerate()
-        .map(|(a, &(label, _))| Table3Row {
-            name: label,
+        .map(|(a, &app)| Table3Row {
+            name: app_label(app),
             tagged: cells[a * 2].clone().expect("table3 cell"),
             untagged: cells[a * 2 + 1].clone().expect("table3 cell"),
         })
@@ -172,17 +187,6 @@ pub fn table4(batches_per_app: u32) -> Vec<Table4Row> {
             }
         })
         .collect()
-}
-
-fn app_label(app: &str) -> &'static str {
-    match app {
-        "vi" => "vi",
-        "joe" => "JOE",
-        "mysqld" => "MySQL",
-        "httpd" => "Apache",
-        "blcr" => "BLCR",
-        _ => "?",
-    }
 }
 
 /// Default campaign seed for the pinned Table 5 / ablation numbers in
@@ -518,18 +522,9 @@ pub fn table6_row_with(app: &'static str, fast_crash_boot: bool) -> Table6Row {
     let mode = TABLE6_MODES[0];
     let (boot_seconds, cell) = table6_measure(app, fast_crash_boot, mode);
     Table6Row {
-        name: table6_label(app),
+        name: app_label(app),
         boot_seconds,
         interruption_seconds: cell.interruption_seconds,
-    }
-}
-
-fn table6_label(app: &str) -> &'static str {
-    match app {
-        "shell" => "shell",
-        "mysqld" => "MySQL",
-        "httpd" => "Apache",
-        other => Box::leak(other.to_string().into_boxed_str()),
     }
 }
 
@@ -637,7 +632,7 @@ pub fn table6_matrix(jobs: usize) -> Vec<Table6MatrixRow> {
                 })
                 .collect();
             Table6MatrixRow {
-                name: table6_label(app),
+                name: app_label(app),
                 boot_seconds,
                 cells,
             }

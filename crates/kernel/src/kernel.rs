@@ -949,6 +949,31 @@ impl Kernel {
     /// signal table, all in kernel/physical memory; then links it into the
     /// process list. This shares its core with `clone()` as in §3.7.
     pub fn spawn(&mut self, spec: SpawnSpec) -> KernelResult<u64> {
+        let vmas = Some((spec.heap_pages, spec.stack_pages));
+        self.new_process(spec.name, Some(spec.program), vmas, spec.term)
+    }
+
+    /// Creates a bare process shell for the resurrection engine: descriptor,
+    /// empty file/signal tables and an empty address space — no VMAs, no
+    /// program. The crash kernel fills everything in from the dead kernel's
+    /// memory. This is the `clone()` path shared with `spawn` (§3.7).
+    pub fn create_raw_process(&mut self, name: &str) -> KernelResult<u64> {
+        self.new_process(name.to_string(), None, None, None)
+    }
+
+    /// The core of [`Kernel::spawn`] and [`Kernel::create_raw_process`].
+    /// Allocates, in this order, the page-table root, the file and signal
+    /// tables, the stack and heap VMAs when `vmas` gives their sizes as
+    /// `(heap_pages, stack_pages)`, and the descriptor; then links the
+    /// process into the process list. Resurrection runs it, so it must not
+    /// panic.
+    fn new_process(
+        &mut self,
+        name: String,
+        program: Option<Box<dyn Program>>,
+        vmas: Option<(u64, u64)>,
+        term: Option<u32>,
+    ) -> KernelResult<u64> {
         let pid = self.next_pid;
         self.next_pid += 1;
 
@@ -977,116 +1002,45 @@ impl Kernel {
         .write(&mut self.machine.phys, sig_addr)?;
 
         // VMAs: heap (includes the program header page) + stack.
-        let heap_start = PROG_STATE_VADDR;
-        let heap_end = heap_start + spec.heap_pages * PAGE_SIZE as u64;
-        let stack_end = VA_LIMIT;
-        let stack_start = stack_end - spec.stack_pages * PAGE_SIZE as u64;
-        if heap_end > stack_start {
-            return Err(KernelError::Inval("heap overlaps stack"));
+        let mut mm_head = 0;
+        if let Some((heap_pages, stack_pages)) = vmas {
+            let heap_start = PROG_STATE_VADDR;
+            let heap_end = heap_start + heap_pages * PAGE_SIZE as u64;
+            let stack_end = VA_LIMIT;
+            let stack_start = stack_end - stack_pages * PAGE_SIZE as u64;
+            if heap_end > stack_start {
+                return Err(KernelError::Inval("heap overlaps stack"));
+            }
+            let stack_vma = self
+                .kheap
+                .alloc(VmaDesc::SIZE)
+                .ok_or(KernelError::NoMemory)?;
+            VmaDesc {
+                start: stack_start,
+                end: stack_end,
+                flags: layout::vmaflags::READ | layout::vmaflags::WRITE | layout::vmaflags::STACK,
+                file: 0,
+                file_off: 0,
+                next: 0,
+            }
+            .write(&mut self.machine.phys, stack_vma)?;
+            let heap_vma = self
+                .kheap
+                .alloc(VmaDesc::SIZE)
+                .ok_or(KernelError::NoMemory)?;
+            VmaDesc {
+                start: heap_start,
+                end: heap_end,
+                flags: layout::vmaflags::READ | layout::vmaflags::WRITE,
+                file: 0,
+                file_off: 0,
+                next: stack_vma,
+            }
+            .write(&mut self.machine.phys, heap_vma)?;
+            mm_head = heap_vma;
         }
-        let stack_vma = self
-            .kheap
-            .alloc(VmaDesc::SIZE)
-            .ok_or(KernelError::NoMemory)?;
-        VmaDesc {
-            start: stack_start,
-            end: stack_end,
-            flags: layout::vmaflags::READ | layout::vmaflags::WRITE | layout::vmaflags::STACK,
-            file: 0,
-            file_off: 0,
-            next: 0,
-        }
-        .write(&mut self.machine.phys, stack_vma)?;
-        let heap_vma = self
-            .kheap
-            .alloc(VmaDesc::SIZE)
-            .ok_or(KernelError::NoMemory)?;
-        VmaDesc {
-            start: heap_start,
-            end: heap_end,
-            flags: layout::vmaflags::READ | layout::vmaflags::WRITE,
-            file: 0,
-            file_off: 0,
-            next: stack_vma,
-        }
-        .write(&mut self.machine.phys, heap_vma)?;
 
         // Descriptor.
-        let desc_addr = self
-            .kheap
-            .alloc(ProcDesc::SIZE)
-            .ok_or(KernelError::NoMemory)?;
-        let desc = ProcDesc {
-            pid,
-            state: layout::pstate::RUNNABLE,
-            name: spec.name.clone(),
-            crash_proc: 0,
-            page_root: asp.root(),
-            mm_head: heap_vma,
-            files: files_addr,
-            sig: sig_addr,
-            term_id: spec.term.unwrap_or(u32::MAX),
-            shm_head: 0,
-            sock_head: 0,
-            res_in_use: 0,
-            in_syscall: 0,
-            saved_pc: 0,
-            saved_sp: stack_end,
-            saved_regs: [0; 8],
-            checksum: 0,
-            next: 0,
-        };
-        let mut desc = desc;
-        if self.config.desc_checksums {
-            desc.checksum = desc.compute_checksum();
-        }
-        desc.write(&mut self.machine.phys, desc_addr)?;
-
-        self.procs.push(ProcHandle {
-            pid,
-            name: spec.name,
-            desc_addr,
-            asp,
-            program: Some(spec.program),
-            state: layout::pstate::RUNNABLE,
-            step: 0,
-            deliver_restart: false,
-            exit_code: None,
-            sockets: Vec::new(),
-            resurrection_failures: 0,
-        });
-        self.sync_proc_list()?;
-        Ok(pid)
-    }
-
-    /// Creates a bare process shell for the resurrection engine: descriptor,
-    /// empty file/signal tables and an empty address space — no VMAs, no
-    /// program. The crash kernel fills everything in from the dead kernel's
-    /// memory. This is the `clone()` path shared with `spawn` (§3.7).
-    pub fn create_raw_process(&mut self, name: &str) -> KernelResult<u64> {
-        let pid = self.next_pid;
-        self.next_pid += 1;
-        let asp = {
-            let Kernel {
-                machine, falloc, ..
-            } = self;
-            AddressSpace::new(&mut machine.phys, falloc).ok_or(KernelError::NoMemory)?
-        };
-        self.machine
-            .set_owner(asp.root(), FrameOwner::PageTable { pid });
-        let files_addr = self
-            .kheap
-            .alloc(FileTable::SIZE)
-            .ok_or(KernelError::NoMemory)?;
-        FileTable { fds: [0; MAX_FDS] }.write(&mut self.machine.phys, files_addr)?;
-        let sig_addr = self
-            .kheap
-            .alloc(SigTable::SIZE)
-            .ok_or(KernelError::NoMemory)?;
-        SigTable {
-            handlers: [0; NSIG],
-        }
-        .write(&mut self.machine.phys, sig_addr)?;
         let desc_addr = self
             .kheap
             .alloc(ProcDesc::SIZE)
@@ -1094,13 +1048,13 @@ impl Kernel {
         let mut desc = ProcDesc {
             pid,
             state: layout::pstate::RUNNABLE,
-            name: name.to_string(),
+            name: name.clone(),
             crash_proc: 0,
             page_root: asp.root(),
-            mm_head: 0,
+            mm_head,
             files: files_addr,
             sig: sig_addr,
-            term_id: u32::MAX,
+            term_id: term.unwrap_or(u32::MAX),
             shm_head: 0,
             sock_head: 0,
             res_in_use: 0,
@@ -1115,12 +1069,13 @@ impl Kernel {
             desc.checksum = desc.compute_checksum();
         }
         desc.write(&mut self.machine.phys, desc_addr)?;
+
         self.procs.push(ProcHandle {
             pid,
-            name: name.to_string(),
+            name,
             desc_addr,
             asp,
-            program: None,
+            program,
             state: layout::pstate::RUNNABLE,
             step: 0,
             deliver_restart: false,
