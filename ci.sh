@@ -38,26 +38,26 @@ cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
 cmp "$smoke_dir/BENCH_crashpoints.json" BENCH_crashpoints.json \
     || { echo "BENCH_crashpoints.json is stale; regenerate it (see ci.sh) and commit" >&2; exit 1; }
 
-# The same slice under warm morph + lazy resurrection: the validate-then-
-# adopt path must be just as deterministic and just as policy-clean (the
-# binary exits non-zero on any unexpected cell).
+# The whole matrix under warm morph + lazy resurrection: the validate-
+# then-adopt path must be just as deterministic and just as policy-clean
+# (the binary exits non-zero on any unexpected cell).
 cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
-    --app vi --mode unprotected --morph warm --strategy lazy \
+    --morph warm --strategy lazy \
     --jobs 1 --json "$smoke_dir/cpw1.json" >/dev/null
 cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
-    --app vi --mode unprotected --morph warm --strategy lazy \
+    --morph warm --strategy lazy \
     --jobs 4 --json "$smoke_dir/cpw4.json" >/dev/null
 cmp "$smoke_dir/cpw1.json" "$smoke_dir/cpw4.json" \
     || { echo "warm/lazy crashpoints --json differs between --jobs 1 and --jobs 4" >&2; exit 1; }
 
-# The same slice with rollback-in-place (rung 0) enabled: the epoch
+# The whole matrix with rollback-in-place (rung 0) enabled: the epoch
 # validate/apply path and its fall-through must be deterministic and
 # policy-clean too.
 cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
-    --app vi --mode unprotected --rollback \
+    --rollback \
     --jobs 1 --json "$smoke_dir/cpr1.json" >/dev/null
 cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
-    --app vi --mode unprotected --rollback \
+    --rollback \
     --jobs 4 --json "$smoke_dir/cpr4.json" >/dev/null
 cmp "$smoke_dir/cpr1.json" "$smoke_dir/cpr4.json" \
     || { echo "rollback crashpoints --json differs between --jobs 1 and --jobs 4" >&2; exit 1; }

@@ -10,7 +10,7 @@
 //! the whole region into the checkpoint area (memory mode) or a file (disk
 //! mode).
 
-use crate::workload::{pid_of, AppMeta, BatchShadow, VerifyResult, Workload};
+use crate::workload::{pid_of, AppMeta, BatchShadow, VerifyResult, Workload, SETTLE_STEPS};
 use ow_kernel::{
     layout::oflags,
     program::{Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
@@ -282,6 +282,15 @@ impl Workload for BlcrWorkload {
         }
     }
 
+    /// BLCR advances on every scheduler step, so its settle steps are
+    /// batches the shadow must count.
+    fn settle(&mut self, k: &mut Kernel, pid: u64) {
+        self.reconnect(k, pid);
+        for _ in 0..SETTLE_STEPS {
+            self.drive(k, pid);
+        }
+    }
+
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
         // The application is autonomous (it advances on every scheduler
         // step), so verification is *self-validating*: read the iteration
@@ -308,8 +317,8 @@ impl Workload for BlcrWorkload {
         if pages != self.pages || cursor >= pages {
             return VerifyResult::Corrupted("control cells implausible".into());
         }
-        // Progress must be within the window the driver observed (extra
-        // settle steps after resurrection are allowed for).
+        // Progress must be within two iterations of what the driver
+        // observed (`settle` drives its steps, so they are observed too).
         let driven = self.shadow.committed.iter;
         if iter + 2 < driven || iter > driven + 2 {
             return VerifyResult::Corrupted(format!(

@@ -3,9 +3,8 @@
 //! Programs must keep *all* of their data in their simulated address space
 //! (that is what resurrection preserves). These helpers give the apps a
 //! small typed layer over [`UserApi::mem_read`]/[`UserApi::mem_write`]:
-//! length-prefixed byte strings and u64 cells, plus the one step every
-//! socket server runs (`serve_step`), which keeps its listener in such a
-//! cell.
+//! u64 cells, plus the one step every socket server runs (`serve_step`),
+//! which keeps its listener in such a cell.
 
 use ow_kernel::{Errno, StepResult, UserApi};
 
@@ -17,33 +16,6 @@ pub fn get_u64(api: &mut dyn UserApi, vaddr: u64) -> Result<u64, Errno> {
 /// Writes a `u64` cell.
 pub fn set_u64(api: &mut dyn UserApi, vaddr: u64, v: u64) -> Result<(), Errno> {
     api.mem_write_u64(vaddr, v)
-}
-
-/// Writes a length-prefixed byte string (8-byte LE length, then bytes).
-pub fn set_bytes(api: &mut dyn UserApi, vaddr: u64, data: &[u8]) -> Result<(), Errno> {
-    api.mem_write_u64(vaddr, data.len() as u64)?;
-    if !data.is_empty() {
-        api.mem_write(vaddr + 8, data)?;
-    }
-    Ok(())
-}
-
-/// Reads a length-prefixed byte string, bounded by `max_len`.
-pub fn get_bytes(api: &mut dyn UserApi, vaddr: u64, max_len: usize) -> Result<Vec<u8>, Errno> {
-    let len = api.mem_read_u64(vaddr)? as usize;
-    if len > max_len {
-        return Err(Errno::Inval);
-    }
-    let mut buf = vec![0u8; len];
-    if len > 0 {
-        api.mem_read(vaddr + 8, &mut buf)?;
-    }
-    Ok(buf)
-}
-
-/// Serialized size of a length-prefixed byte string.
-pub fn bytes_size(data_len: usize) -> u64 {
-    8 + data_len as u64
 }
 
 /// Base virtual address of the shared-library mapping area.

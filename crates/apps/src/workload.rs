@@ -82,7 +82,7 @@ pub trait Workload {
 }
 
 /// Scheduler steps [`Workload::settle`] runs after reconnecting.
-const SETTLE_STEPS: u32 = 8;
+pub(crate) const SETTLE_STEPS: u32 = 8;
 
 impl<W: Workload + ?Sized> Workload for Box<W> {
     fn name(&self) -> &'static str {
@@ -99,6 +99,12 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
     }
     fn verify(&mut self, k: &mut Kernel, pid: u64) -> VerifyResult {
         (**self).verify(k, pid)
+    }
+    fn start(&mut self, k: &mut Kernel, batches: u32) -> u64 {
+        (**self).start(k, batches)
+    }
+    fn settle(&mut self, k: &mut Kernel, pid: u64) {
+        (**self).settle(k, pid)
     }
 }
 

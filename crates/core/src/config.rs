@@ -237,8 +237,7 @@ pub struct OtherworldConfig {
     /// Rung 0 of the ladder: try rollback-in-place from the newest epoch
     /// checkpoint before any crash-kernel handoff. Off by default (the
     /// paper's microreboot semantics); requires the kernel's epoch-
-    /// checkpoint writer (`KernelConfig::checkpoint_interval != 0`) to
-    /// have sealed a fresh epoch on the panic path.
+    /// checkpoint writer to have sealed a fresh epoch on the panic path.
     pub rollback: bool,
 }
 

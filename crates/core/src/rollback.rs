@@ -82,9 +82,6 @@ pub fn attempt(
     // nothing has been written yet, the microreboot still has everything.
     ow_crashpoint::crash_point!("recovery.rollback.epoch.validate");
 
-    if k.config.checkpoint_interval == 0 {
-        return None;
-    }
     let mut stats = ReadStats::default();
     let plan = validate(k, &mut stats)?;
 

@@ -7,7 +7,7 @@ use ow_core::{microreboot, OtherworldConfig, PolicySource, ResurrectionPolicy};
 use ow_kernel::{
     layout::oflags,
     program::{Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
-    Kernel, KernelConfig, PanicCause, SpawnSpec,
+    Kernel, KernelConfig, PanicCause, SpawnSpec, TRACE_FRAMES,
 };
 use ow_simhw::machine::MachineConfig;
 use ow_trace::{Counter as TraceCounter, EventKind};
@@ -131,7 +131,7 @@ fn wild_write_into_the_trace_region_costs_one_record_not_the_flight() {
     // A wild write lands inside the trace region (which is deliberately not
     // hardware-protected): smash the middle of an already-written record
     // slot in the first record frame.
-    let trace_base = k.machine.phys.frames() - k.config.trace_frames;
+    let trace_base = k.machine.phys.frames() - TRACE_FRAMES;
     let slot_addr = (trace_base + 1) * ow_simhw::PAGE_BYTES + 2 * 48 + 16;
     let out = k
         .machine

@@ -16,7 +16,7 @@ use ow_core::{microreboot, MorphMode, OtherworldConfig, ResurrectionStrategy};
 use ow_kernel::layout::{oflags, seal_addr, Record, WarmSeal};
 use ow_kernel::{
     program::{Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
-    Kernel, KernelConfig, PanicCause, SpawnSpec,
+    Kernel, KernelConfig, PanicCause, SpawnSpec, KERNEL_FRAMES,
 };
 use ow_simhw::machine::MachineConfig;
 
@@ -202,7 +202,7 @@ enum Flip {
 /// seal, recovers warm, and returns the post-recovery observation.
 fn recover_with_flipped_seal(flip: Flip) -> (ow_core::MicrorebootReport, u64, Vec<u8>, String) {
     let (mut k, _) = dead_kernel(10, 1);
-    let addr = seal_addr(k.base_frame, k.config.kernel_frames);
+    let addr = seal_addr(k.base_frame, KERNEL_FRAMES);
     let (mut seal, _) = WarmSeal::read(&k.machine.phys, addr).expect("seal readable");
     assert_eq!(seal.valid, 1, "panic path did not seal");
     match flip {
@@ -274,7 +274,7 @@ fn invalidated_seal_means_cold_morph() {
     // A fresh boot writes valid == 0 over the seal region; a warm-config
     // microreboot over such a kernel must behave exactly like cold.
     let (mut k, _) = dead_kernel(10, 0);
-    let addr = seal_addr(k.base_frame, k.config.kernel_frames);
+    let addr = seal_addr(k.base_frame, KERNEL_FRAMES);
     WarmSeal::invalid()
         .write(&mut k.machine.phys, addr)
         .expect("seal invalidate");

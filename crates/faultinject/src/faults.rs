@@ -16,7 +16,7 @@
 //! lands decides the experiment's fate (see `DESIGN.md` §5) — outcomes
 //! emerge from the memory layout, not from hard-coded probabilities.
 
-use ow_kernel::{Kernel, PanicCause, PendingFault};
+use ow_kernel::{Kernel, PanicCause, PendingFault, KERNEL_FRAMES};
 use ow_simhw::{machine::WildWriteOutcome, SimRng, PAGE_SIZE};
 use ow_trace::{Counter, EventKind};
 use std::collections::BTreeMap;
@@ -160,7 +160,7 @@ pub fn apply_wild_write(k: &mut Kernel, rng: &mut SimRng, report: &mut DamageRep
             170..=899 => {
                 // The kernel region (header, heap structures).
                 let base = k.base_frame * PAGE_SIZE as u64;
-                let len = k.config.kernel_frames * PAGE_SIZE as u64;
+                let len = KERNEL_FRAMES * PAGE_SIZE as u64;
                 base + rng.gen_range(0..len)
             }
             900..=904 => {

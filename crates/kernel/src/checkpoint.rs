@@ -1,10 +1,10 @@
 //! The epoch-checkpoint writer: continuous sealing of the Table 4 set.
 //!
-//! Every `checkpoint_interval` completed syscalls (and once more on the
-//! panic path itself), the kernel copies its resurrection-critical records
-//! — process descriptors, VMA chains, file tables and file records — into
-//! one of the two A/B slots below the trace ring, as verbatim snippets
-//! tagged with their source address, under a CRC-guarded
+//! Every [`crate::CHECKPOINT_INTERVAL`] completed syscalls (and once more
+//! on the panic path itself), the kernel copies its resurrection-critical
+//! records — process descriptors, VMA chains, file tables and file records
+//! — into one of the two A/B slots below the trace ring, as verbatim
+//! snippets tagged with their source address, under a CRC-guarded
 //! [`EpochCheckpoint`] header. Rollback-in-place (`ow-core`) later
 //! revalidates the newest epoch and writes the snippets straight back.
 //!
@@ -49,9 +49,6 @@ impl Kernel {
     /// restore without replaying anything. Best-effort: returns whether a
     /// complete epoch was committed. Never allocates from the kernel heap.
     pub fn seal_epoch_checkpoint(&mut self, at_panic: bool) -> bool {
-        if self.config.checkpoint_interval == 0 {
-            return false;
-        }
         ow_crashpoint::crash_point!("kernel.checkpoint.seal.write");
         self.try_seal_epoch(at_panic).is_ok()
     }

@@ -330,15 +330,6 @@ impl Fs {
         Ok(inode.size)
     }
 
-    /// The path stored in the inode.
-    pub fn path_of(&self, m: &mut Machine, ino: u32) -> Result<String, KernelError> {
-        let inode = self.read_inode(m, ino)?;
-        if !inode.used {
-            return Err(KernelError::Inval("stale inode"));
-        }
-        Ok(inode.path)
-    }
-
     /// Resolves the data block for logical block `lbn`, allocating when
     /// `alloc` is set.
     fn bmap(

@@ -122,15 +122,30 @@ impl RobustnessFixes {
     }
 }
 
+/// Frames for the kernel's own region (header + heap + warm seal): 2 MiB.
+pub const KERNEL_FRAMES: u64 = 512;
+/// Frames reserved for the crash kernel (the paper used 64 MB; scaled):
+/// 4 MiB.
+pub const CRASH_FRAMES: u64 = 1024;
+/// Frames reserved at the very top of RAM for the `ow-trace` flight
+/// recorder (header + record ring): 64 KiB, 1 header frame + ~1280 record
+/// slots. The region survives panics and morphing, like pstore/ramoops.
+pub const TRACE_FRAMES: u64 = 16;
+/// Syscall-count cadence of the epoch-checkpoint writer: every N completed
+/// syscalls the kernel seals the resurrection-critical record set (the
+/// <80 KB Table 4 state) into the reserved region next to the trace ring,
+/// and the panic path seals one final epoch so rollback-in-place can
+/// resume the same generation without replaying anything.
+pub const CHECKPOINT_INTERVAL: u64 = 32;
+
+// The kernel heap lives between the header page and the warm seal.
+const _: () = assert!(KERNEL_FRAMES > 1 + layout::SEAL_FRAMES);
+
 /// Kernel configuration.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
     /// Kernel build version.
     pub version: u32,
-    /// Frames for the kernel's own region (header + heap).
-    pub kernel_frames: u64,
-    /// Frames reserved for the crash kernel (the paper used 64 MB; scaled).
-    pub crash_frames: u64,
     /// Enable the memory-protected mode (§4): user space unmapped during
     /// kernel execution, page-table switch + TLB flush on every syscall.
     pub user_protection: bool,
@@ -148,32 +163,17 @@ pub struct KernelConfig {
     /// corruption of resurrection-critical state cannot go undetected. Adds
     /// runtime overhead on every descriptor update.
     pub desc_checksums: bool,
-    /// Frames reserved at the very top of RAM for the `ow-trace` flight
-    /// recorder (header + record ring). 0 disables tracing; the region
-    /// survives panics and morphing, like pstore/ramoops.
-    pub trace_frames: u64,
-    /// Syscall-count cadence of the epoch-checkpoint writer: every N
-    /// completed syscalls the kernel seals the resurrection-critical
-    /// record set (the <80 KB Table 4 state) into the reserved region
-    /// next to the trace ring, and the panic path seals one final epoch
-    /// so rollback-in-place can resume the same generation without
-    /// replaying anything. 0 disables epoch checkpointing entirely.
-    pub checkpoint_interval: u64,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
             version: 1,
-            kernel_frames: 512, // 2 MiB kernel region
-            crash_frames: 1024, // 4 MiB crash reservation
             user_protection: false,
             fixes: RobustnessFixes::default(),
             boot_costs: BootCosts::default(),
             fast_crash_boot: false,
             desc_checksums: false,
-            trace_frames: 16, // 64 KiB: 1 header frame + ~1280 record slots
-            checkpoint_interval: 32,
         }
     }
 }
@@ -503,11 +503,11 @@ impl Kernel {
 
         // Memory layout for this kernel.
         let total_frames = machine.frames();
-        let kernel_end = base_frame + config.kernel_frames;
+        let kernel_end = base_frame + KERNEL_FRAMES;
         if cold {
             machine.set_owner_range(0, HANDOFF_FRAMES, FrameOwner::Handoff);
         }
-        machine.set_owner_range(base_frame, config.kernel_frames, FrameOwner::Kernel);
+        machine.set_owner_range(base_frame, KERNEL_FRAMES, FrameOwner::Kernel);
 
         // General allocator: on a cold boot, everything between the kernel
         // region and the (future) crash reservation; for a crash kernel,
@@ -516,20 +516,20 @@ impl Kernel {
         // above everything at the very top of RAM so it survives panics,
         // reboots and morphing without ever being reallocated.
         let (gen_base, gen_end, trace_base, trace_frames) = if cold {
-            if config.trace_frames >= total_frames / 4 {
+            if TRACE_FRAMES >= total_frames / 4 {
                 return Err((
                     KernelError::Inval("trace region too large"),
                     Box::new(machine),
                 ));
             }
-            let trace_base = total_frames - config.trace_frames;
+            let trace_base = total_frames - TRACE_FRAMES;
             // The epoch-checkpoint slots sit between the crash reservation
             // and the trace ring, so they too survive panics and morphing.
             (
                 kernel_end,
-                trace_base - layout::CKPT_FRAMES - config.crash_frames,
+                trace_base - layout::CKPT_FRAMES - CRASH_FRAMES,
                 trace_base,
-                config.trace_frames,
+                TRACE_FRAMES,
             )
         } else {
             let (h, _) = match HandoffBlock::read(&machine.phys) {
@@ -577,15 +577,9 @@ impl Kernel {
         // stopping short of the warm-seal region at the top (the panic
         // path writes the seal there with plain stores — it must never
         // collide with a heap allocation).
-        if config.kernel_frames <= 1 + layout::SEAL_FRAMES {
-            return Err((
-                KernelError::Inval("kernel region too small for heap and seal"),
-                Box::new(machine),
-            ));
-        }
         let kheap = KHeap::new(
             (base_frame + 1) * PAGE_SIZE as u64,
-            (config.kernel_frames - 1 - layout::SEAL_FRAMES) * PAGE_SIZE as u64,
+            (KERNEL_FRAMES - 1 - layout::SEAL_FRAMES) * PAGE_SIZE as u64,
         );
 
         // Filesystem: mount, formatting on first cold boot.
@@ -752,7 +746,7 @@ impl Kernel {
         // must never be adopted after this kernel's own panic.
         layout::WarmSeal::invalid().write(
             &mut kernel.machine.phys,
-            layout::seal_addr(base_frame, kernel.config.kernel_frames),
+            layout::seal_addr(base_frame, KERNEL_FRAMES),
         )?;
 
         // Same discipline for the epoch-checkpoint slots below the trace
@@ -822,7 +816,7 @@ impl Kernel {
         let header = KernelHeader {
             version: self.config.version,
             base_frame: self.base_frame,
-            nframes: self.config.kernel_frames,
+            nframes: KERNEL_FRAMES,
             proc_head,
             nprocs: self
                 .procs

@@ -3,7 +3,7 @@
 
 use crate::{
     error::KernelError,
-    kernel::Kernel,
+    kernel::{Kernel, CRASH_FRAMES, KERNEL_FRAMES, TRACE_FRAMES},
     layout::{
         pstate, CrashImageHeader, FileRecord, FileTable, HandoffBlock, PageCacheNode, ProcDesc,
         WarmSeal,
@@ -50,15 +50,14 @@ impl Kernel {
     /// top of RAM; when morphing, the caller passes the region it chose.
     pub fn load_crash_kernel(&mut self) -> KernelResult<()> {
         let total = self.machine.frames();
-        let frames = self.config.crash_frames;
-        if frames == 0 || frames >= total / 2 {
+        if CRASH_FRAMES >= total / 2 {
             return Err(KernelError::Inval("crash reservation size"));
         }
         // The flight-recorder region keeps the very top of RAM, the
         // epoch-checkpoint slots sit just below it, and the crash
         // reservation immediately below those.
-        let base = total - self.config.trace_frames - crate::layout::CKPT_FRAMES - frames;
-        self.load_crash_kernel_at(base, frames)
+        let base = total - TRACE_FRAMES - crate::layout::CKPT_FRAMES - CRASH_FRAMES;
+        self.load_crash_kernel_at(base, CRASH_FRAMES)
     }
 
     /// Loads a crash kernel into the given region (used by morphing, which
@@ -104,7 +103,7 @@ impl Kernel {
             fresh.mark_used(pfn);
         }
         // This kernel's own region.
-        for pfn in self.base_frame..self.base_frame + self.config.kernel_frames {
+        for pfn in self.base_frame..self.base_frame + KERNEL_FRAMES {
             fresh.mark_used(pfn);
         }
         // Everything the confined allocator handed out.
@@ -163,12 +162,11 @@ impl Kernel {
         // Morph stage: between reclaim and the next crash image existing —
         // the window in which the system is unprotected.
         ow_crashpoint::crash_point!("kernel.kexec.install.image");
-        let frames = self.config.crash_frames;
         let base = self
             .falloc
-            .alloc_contiguous(frames as usize)
+            .alloc_contiguous(CRASH_FRAMES as usize)
             .ok_or(KernelError::NoMemory)?;
-        self.load_crash_kernel_at(base, frames)
+        self.load_crash_kernel_at(base, CRASH_FRAMES)
     }
 
     /// Warm morph step 1: adopt the dead kernel's CRC-validated frame
@@ -192,7 +190,7 @@ impl Kernel {
         for pfn in 0..crate::layout::HANDOFF_FRAMES {
             fresh.mark_used(pfn);
         }
-        for pfn in self.base_frame..self.base_frame + self.config.kernel_frames {
+        for pfn in self.base_frame..self.base_frame + KERNEL_FRAMES {
             fresh.mark_used(pfn);
         }
         let (dead_base, dead_frames) = adopted.dead_kernel;
@@ -241,8 +239,8 @@ impl Kernel {
     }
 
     fn try_seal_warm_state(&mut self) -> KernelResult<()> {
-        let seal_base = crate::layout::seal_addr(self.base_frame, self.config.kernel_frames);
-        let region_end = (self.base_frame + self.config.kernel_frames) * PAGE_BYTES;
+        let seal_base = crate::layout::seal_addr(self.base_frame, KERNEL_FRAMES);
+        let region_end = (self.base_frame + KERNEL_FRAMES) * PAGE_BYTES;
 
         // Bit-pack the frame-allocator bitmap into the seal region, right
         // after the record itself.

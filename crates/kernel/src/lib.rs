@@ -36,7 +36,8 @@ pub mod vm;
 pub use error::{Errno, KernelError, SysResult};
 pub use kernel::{
     BootCosts, CrashBoot, HandoffInfo, Kernel, KernelConfig, PanicCause, PanicOutcome,
-    PendingFault, ProcHandle, RobustnessFixes, RunEvent, SpawnSpec,
+    PendingFault, ProcHandle, RobustnessFixes, RunEvent, SpawnSpec, CHECKPOINT_INTERVAL,
+    CRASH_FRAMES, KERNEL_FRAMES, TRACE_FRAMES,
 };
 pub use program::{CrashAction, Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR};
 

@@ -276,10 +276,4 @@ impl Kernel {
         ow_crashpoint::crash_point!("kernel.pagecache.fsync.flush");
         flush_cache(&mut self.machine, &fs, frec_addr)
     }
-
-    /// Current logical size of an open file.
-    pub fn file_size(&self, pid: u64, fd: u32) -> KernelResult<u64> {
-        let frec_addr = self.frec_addr(pid, fd)?;
-        Ok(self.read_frec(frec_addr)?.fsize)
-    }
 }

@@ -16,7 +16,7 @@
 
 use crate::{
     kernel::{HandoffInfo, Kernel, PanicCause, PanicOutcome},
-    layout::{CrashImageHeader, HandoffBlock, ProcDesc, IDT_MAGIC, SAVE_AREA_ADDR},
+    layout::{CrashImageHeader, HandoffBlock, ProcDesc, IDT_MAGIC},
 };
 use ow_layout::Record;
 use ow_trace::PanicStep;
@@ -156,10 +156,5 @@ impl Kernel {
             self.trace_panic_step(PanicStep::WatchdogFired, 0);
         }
         self.do_panic(PanicCause::Stall)
-    }
-
-    /// Saved context area address for CPU `id` (diagnostics and tests).
-    pub fn save_area_of(cpu: u32) -> u64 {
-        SAVE_AREA_ADDR + cpu as u64 * ow_simhw::cpu::SAVE_AREA_BYTES
     }
 }

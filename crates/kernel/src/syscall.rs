@@ -6,7 +6,12 @@
 //! overhead. An in-flight syscall aborted by a microreboot is re-delivered
 //! as [`Errno::Restart`] so the application can retry it (§3.5).
 
-use crate::{error::Errno, kernel::Kernel, layout, program::UserApi};
+use crate::{
+    error::Errno,
+    kernel::{Kernel, CHECKPOINT_INTERVAL},
+    layout,
+    program::UserApi,
+};
 use ow_trace::{Counter, EventKind, Histogram};
 
 /// Syscall numbers (stored in the descriptor's `in_syscall` field + 1).
@@ -166,14 +171,12 @@ impl<'k> KernelApi<'k> {
 
         // Periodic epoch checkpoint: with the call complete and the
         // in-flight marker cleared, the record set is consistent — seal it
-        // every `checkpoint_interval` completed syscalls.
-        let interval = self.kernel.config.checkpoint_interval;
-        if interval != 0
-            && self
-                .kernel
-                .syscall_seq
-                .wrapping_sub(self.kernel.last_ckpt_seq)
-                >= interval
+        // every `CHECKPOINT_INTERVAL` completed syscalls.
+        if self
+            .kernel
+            .syscall_seq
+            .wrapping_sub(self.kernel.last_ckpt_seq)
+            >= CHECKPOINT_INTERVAL
         {
             let _ = self.kernel.seal_epoch_checkpoint(false);
         }

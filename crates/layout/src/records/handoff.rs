@@ -4,7 +4,6 @@
 
 use crate::cursor::{Cursor, CursorMut, LayoutError};
 use crate::record::Record;
-use crate::registry::LAYOUT_VERSION;
 use ow_simhw::{PhysAddr, PhysMem};
 
 /// Magic for [`HandoffBlock`].
@@ -26,9 +25,10 @@ pub const HANDOFF_FRAMES: u64 = 2;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandoffBlock {
     /// Layout generation the writing kernel serialized its structures
-    /// under (see [`LAYOUT_VERSION`]). The crash kernel refuses a handoff
-    /// stamped with a different generation instead of misparsing it — the
-    /// prerequisite for hot-update microreboots across kernel builds (§7).
+    /// under (see [`crate::registry::LAYOUT_VERSION`]). The crash kernel
+    /// refuses a handoff stamped with a different generation instead of
+    /// misparsing it — the prerequisite for hot-update microreboots across
+    /// kernel builds (§7).
     pub layout_version: u32,
     /// Frame of the active kernel's [`KernelHeader`].
     pub active_kernel_frame: u64,
@@ -106,12 +106,6 @@ impl HandoffBlock {
     /// Reads and validates the block from [`HANDOFF_ADDR`].
     pub fn read(phys: &PhysMem) -> Result<(Self, u64), LayoutError> {
         <Self as Record>::read(phys, HANDOFF_ADDR)
-    }
-
-    /// Whether the block was stamped by a kernel of this build's layout
-    /// generation (and is therefore safe to parse structures through).
-    pub fn same_generation(&self) -> bool {
-        self.layout_version == LAYOUT_VERSION
     }
 }
 

@@ -1,7 +1,7 @@
-//! Interprocedural effect summaries: a fixpoint pass over the call graph.
+//! Interprocedural effect summaries, read off call-graph reachability.
 //!
-//! Each function gets a 5-bit summary — the effects its execution *may*
-//! have, in the same over-approximate spirit as the graph itself:
+//! Each function gets a summary — the effects its execution *may* have, in
+//! the same over-approximate spirit as the graph itself:
 //!
 //! * [`READS_DEAD`] — reads raw `PhysMem` (dead-kernel or reader-derived
 //!   bytes; the `phys.read*`/`phys.slice*` intrinsics).
@@ -12,22 +12,21 @@
 //! * [`NONDET`] — observes wall clock, environment, thread topology,
 //!   `HashMap`/`HashSet` iteration order, or builds a raw-seed RNG.
 //!
-//! Intrinsic effects come from [`crate::extract`]; the fixpoint unions a
-//! callee's summary into every caller until nothing changes. One edge kind
-//! is special: a call made inside a `supervisor::contain(...)` argument
-//! masks the [`PANICS`] bit (the runtime boundary owns that panic) but
-//! still propagates the other four — containment catches unwinding, it
-//! does not undo writes, allocations, or nondeterminism.
+//! Intrinsic effects come from [`crate::extract`]. A function's summary
+//! carries an effect when some function it reaches ([`Graph::reach`]) has
+//! an intrinsic site of that effect. One edge kind is special: a call made
+//! inside a `supervisor::contain(...)` argument masks [`PANICS`] (the
+//! runtime boundary owns that panic) but still propagates the other four —
+//! containment catches unwinding, it does not undo writes, allocations, or
+//! nondeterminism. The rules walk the graph the same way: only the panic
+//! rule stops at `contain(...)`.
 //!
-//! [`Effects::witness`] reconstructs, for any (function, effect) pair, one
-//! call path to a concrete intrinsic site — this is what `--effects` and
-//! the rule findings print, so justifying an allow never requires reading
-//! the fixpoint.
+//! [`summary`] pairs each effect with a [`Witness`], the call path to the
+//! first intrinsic site in BFS order — this is what `--effects` prints, so
+//! justifying an allow never requires re-deriving the analysis.
 
 use crate::extract::{FnDef, PanicKind};
 use crate::graph::{DefId, Graph};
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
 
 /// Reads raw `PhysMem` (dead-kernel/reader-derived bytes).
 pub const READS_DEAD: u8 = 1 << 0;
@@ -48,71 +47,6 @@ pub const ALL_EFFECTS: [(u8, &str); 5] = [
     (PANICS, "panics"),
     (NONDET, "nondeterministic"),
 ];
-
-/// The report name of one effect bit.
-pub fn effect_name(bit: u8) -> &'static str {
-    ALL_EFFECTS
-        .iter()
-        .find(|(b, _)| *b == bit)
-        .map(|(_, n)| *n)
-        .unwrap_or("unknown-effect")
-}
-
-/// A function's effect summary — a set of the five effect bits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EffectMask(pub u8);
-
-impl EffectMask {
-    /// Whether `bit` is in the set.
-    pub fn has(self, bit: u8) -> bool {
-        self.0 & bit != 0
-    }
-
-    /// Whether the function is effect-free under this lattice.
-    pub fn is_pure(self) -> bool {
-        self.0 == 0
-    }
-
-    /// The names of every effect in the set, in display order.
-    pub fn names(self) -> Vec<&'static str> {
-        ALL_EFFECTS
-            .iter()
-            .filter(|(b, _)| self.has(*b))
-            .map(|(_, n)| *n)
-            .collect()
-    }
-}
-
-impl fmt::Display for EffectMask {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_pure() {
-            write!(f, "(pure)")
-        } else {
-            write!(f, "{}", self.names().join(" + "))
-        }
-    }
-}
-
-/// The *intrinsic* (own-body) effects of one function, before propagation.
-pub fn intrinsic(def: &FnDef) -> EffectMask {
-    let mut m = 0u8;
-    if !def.taint_reads.is_empty() {
-        m |= READS_DEAD;
-    }
-    if !def.taint_writes.is_empty() {
-        m |= WRITES_LIVE;
-    }
-    if !def.kheap_allocs.is_empty() {
-        m |= ALLOCATES;
-    }
-    if def.panics.iter().any(|p| !p.contained) {
-        m |= PANICS;
-    }
-    if !def.nondet.is_empty() {
-        m |= NONDET;
-    }
-    EffectMask(m)
-}
 
 /// The first intrinsic site of `bit` in `def`: (line, description).
 pub fn intrinsic_site(def: &FnDef, bit: u8) -> Option<(u32, String)> {
@@ -152,98 +86,23 @@ pub struct Witness {
     pub what: String,
 }
 
-/// Fixpoint effect summaries for every definition in a [`Graph`].
-pub struct Effects {
-    summary: Vec<u8>,
-}
-
-impl Effects {
-    /// Computes summaries: seed every definition with its intrinsic mask,
-    /// then union callee summaries into callers (contained calls mask
-    /// [`PANICS`]) until a fixed point.
-    pub fn compute(graph: &Graph) -> Effects {
-        let ids: Vec<DefId> = graph.all_defs().collect();
-        let mut summary: Vec<u8> = ids.iter().map(|&id| intrinsic(graph.def(id)).0).collect();
-        // Resolve every call edge once; the fixpoint then only does
-        // bit-union sweeps, so termination is bounded by 5 bits × edges.
-        let mut edges: Vec<(DefId, DefId, bool)> = Vec::new();
-        for &id in &ids {
-            let f = graph.def(id);
-            for call in &f.calls {
-                for target in graph.resolve(call, f) {
-                    edges.push((id, target, call.contained));
-                }
-            }
-        }
-        loop {
-            let mut changed = false;
-            for &(caller, callee, contained) in &edges {
-                let mut add = summary[callee];
-                if contained {
-                    add &= !PANICS;
-                }
-                if summary[caller] | add != summary[caller] {
-                    summary[caller] |= add;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        Effects { summary }
-    }
-
-    /// The computed summary of one definition.
-    pub fn of(&self, id: DefId) -> EffectMask {
-        EffectMask(self.summary[id])
-    }
-
-    /// One shortest call path explaining why `from`'s summary carries
-    /// `bit`: BFS through callees whose summaries carry the bit, ending at
-    /// the first definition that carries it *intrinsically*. Returns
-    /// `None` when the summary doesn't have the bit.
-    pub fn witness(&self, graph: &Graph, from: DefId, bit: u8) -> Option<Witness> {
-        if !self.of(from).has(bit) {
-            return None;
-        }
-        let mut parent: HashMap<DefId, DefId> = HashMap::new();
-        let mut queue: VecDeque<DefId> = VecDeque::new();
-        parent.insert(from, from);
-        queue.push_back(from);
-        while let Some(id) = queue.pop_front() {
-            let def = graph.def(id);
-            if let Some((line, what)) = intrinsic_site(def, bit) {
-                let mut path = Vec::new();
-                let mut cur = id;
-                loop {
-                    let f = graph.def(cur);
-                    path.push(format!("{}:{}", graph.file_of(cur), f.name));
-                    match parent.get(&cur) {
-                        Some(&p) if p != cur => cur = p,
-                        _ => break,
-                    }
-                }
-                path.reverse();
-                return Some(Witness { path, line, what });
-            }
-            for call in &def.calls {
-                if bit == PANICS && call.contained {
-                    continue;
-                }
-                for target in graph.resolve(call, def) {
-                    if !self.of(target).has(bit) {
-                        continue;
-                    }
-                    if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(target) {
-                        e.insert(id);
-                        queue.push_back(target);
-                    }
-                }
-            }
-        }
-        None
-    }
+/// The effect summary of `from`: each effect, in display order, that some
+/// function `from` reaches has intrinsically, with the witness path to the
+/// first such site in BFS order. Empty for a pure function.
+pub fn summary(graph: &Graph, from: DefId) -> Vec<(&'static str, Witness)> {
+    let all = graph.reach(&[from], false);
+    let uncontained = graph.reach(&[from], true);
+    ALL_EFFECTS
+        .iter()
+        .filter_map(|&(bit, name)| {
+            let (order, parents) = if bit == PANICS { &uncontained } else { &all };
+            order.iter().find_map(|&id| {
+                let (line, what) = intrinsic_site(graph.def(id), bit)?;
+                let path = graph.witness(parents, id);
+                Some((name, Witness { path, line, what }))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -265,23 +124,24 @@ mod tests {
         g.all_defs().find(|&id| g.def(id).name == name).unwrap()
     }
 
+    /// The effect names in `name`'s summary, in display order.
+    fn effects(g: &Graph, name: &str) -> Vec<&'static str> {
+        summary(g, id_of(g, name))
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect()
+    }
+
     #[test]
-    fn intrinsic_effects_seed_the_lattice() {
+    fn intrinsic_effects_seed_the_summary() {
         let files = vec![entry(
             "a.rs",
             "fn f() { phys.read(0, b); phys.write(0, b); kheap.alloc(8); \
              x.unwrap(); let t = Instant::now(); }",
         )];
         let g = Graph::build(&files);
-        let eff = Effects::compute(&g);
-        let m = eff.of(id_of(&g, "f"));
-        assert!(m.has(READS_DEAD));
-        assert!(m.has(WRITES_LIVE));
-        assert!(m.has(ALLOCATES));
-        assert!(m.has(PANICS));
-        assert!(m.has(NONDET));
         assert_eq!(
-            m.names(),
+            effects(&g, "f"),
             vec![
                 "reads-dead-memory",
                 "writes-live-state",
@@ -299,10 +159,8 @@ mod tests {
             "fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { phys.write_u64(0, 1); }",
         )];
         let g = Graph::build(&files);
-        let eff = Effects::compute(&g);
-        assert!(eff.of(id_of(&g, "top")).has(WRITES_LIVE));
-        assert!(eff.of(id_of(&g, "mid")).has(WRITES_LIVE));
-        assert!(!eff.of(id_of(&g, "top")).has(READS_DEAD));
+        assert_eq!(effects(&g, "top"), vec!["writes-live-state"]);
+        assert_eq!(effects(&g, "mid"), vec!["writes-live-state"]);
     }
 
     #[test]
@@ -313,48 +171,54 @@ mod tests {
              fn risky() { x.unwrap(); phys.write(0, b); }",
         )];
         let g = Graph::build(&files);
-        let eff = Effects::compute(&g);
-        let top = eff.of(id_of(&g, "top"));
-        assert!(!top.has(PANICS), "contained panic must not propagate");
-        assert!(top.has(WRITES_LIVE), "containment does not undo writes");
+        assert_eq!(
+            effects(&g, "top"),
+            vec!["writes-live-state"],
+            "contained panic must not propagate; containment does not undo writes"
+        );
+        assert_eq!(effects(&g, "risky"), vec!["writes-live-state", "panics"]);
     }
 
     #[test]
-    fn recursion_reaches_a_fixed_point() {
+    fn recursion_terminates_and_reaches_every_effect() {
         let files = vec![entry(
             "a.rs",
             "fn a() { b(); }\nfn b() { a(); let t = SystemTime::now(); }",
         )];
         let g = Graph::build(&files);
-        let eff = Effects::compute(&g);
-        assert!(eff.of(id_of(&g, "a")).has(NONDET));
-        assert!(eff.of(id_of(&g, "b")).has(NONDET));
+        assert_eq!(effects(&g, "a"), vec!["nondeterministic"]);
+        assert_eq!(effects(&g, "b"), vec!["nondeterministic"]);
     }
 
     #[test]
-    fn pure_function_displays_as_pure() {
+    fn pure_function_has_an_empty_summary() {
         let files = vec![entry("a.rs", "fn f(x: u64) -> u64 { x + 1 }")];
         let g = Graph::build(&files);
-        let eff = Effects::compute(&g);
-        let m = eff.of(id_of(&g, "f"));
-        assert!(m.is_pure());
-        assert_eq!(format!("{m}"), "(pure)");
+        assert!(effects(&g, "f").is_empty());
     }
 
     #[test]
-    fn witness_path_ends_at_the_intrinsic_site() {
+    fn witness_path_ends_at_the_first_intrinsic_site_in_bfs_order() {
         let files = vec![
-            entry("a.rs", "fn top() { mid(); }"),
+            entry(
+                "a.rs",
+                "fn top() { mid(); far(); }\nfn far() { kheap.free(8); }",
+            ),
             entry(
                 "b.rs",
                 "fn mid() { leaf(); }\nfn leaf() { kheap.alloc(64); }",
             ),
         ];
         let g = Graph::build(&files);
-        let eff = Effects::compute(&g);
-        let w = eff.witness(&g, id_of(&g, "top"), ALLOCATES).unwrap();
-        assert_eq!(w.path, vec!["a.rs:top", "b.rs:mid", "b.rs:leaf"]);
-        assert_eq!(w.what, "kheap.alloc");
-        assert!(eff.witness(&g, id_of(&g, "top"), READS_DEAD).is_none());
+        let s = summary(&g, id_of(&g, "top"));
+        assert_eq!(s.len(), 1, "only allocates: {s:?}");
+        let (name, w) = &s[0];
+        assert_eq!(*name, "allocates");
+        assert_eq!(w.path, vec!["a.rs:top", "a.rs:far"]);
+        assert_eq!(w.what, "kheap.free");
+        let s = summary(&g, id_of(&g, "mid"));
+        assert_eq!(s[0].1.path, vec!["b.rs:mid", "b.rs:leaf"]);
+        assert_eq!(s[0].1.what, "kheap.alloc");
+        assert_eq!(s[0].1.line, 2);
     }
 }

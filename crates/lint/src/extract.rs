@@ -3,8 +3,8 @@
 //! panic-capable sites it contains, its raw `PhysMem` reads and writes,
 //! its `kheap` allocations, and its nondeterminism sites (wall clock,
 //! environment, thread identity, `HashMap`/`HashSet` iteration, raw-seed
-//! RNG construction). These per-function facts are the *intrinsic* effects
-//! the [`crate::effects`] fixpoint propagates over the call graph.
+//! RNG construction). These per-function facts are the *intrinsic* effects;
+//! [`crate::effects`] unions them over everything a function reaches.
 //!
 //! Resolution is name-based and deliberately over-approximate (a method
 //! call `.foo(` may match several `impl` blocks); the call-graph layer
@@ -279,7 +279,7 @@ pub fn extract(toks: &[Token], directives: Vec<Directive>, force_test: bool) -> 
             }
             Tok::Punct('}') => {
                 depth -= 1;
-                while matches!(ctx.last(), Some((d, _, _)) if *d >= depth + 1) {
+                while matches!(ctx.last(), Some((d, _, _)) if *d > depth) {
                     ctx.pop();
                 }
                 i += 1;

@@ -10,7 +10,7 @@
 //! physical memory) keep the approximation tight in practice.
 
 use crate::extract::{Call, CallKind, FileModel, FnDef};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// One scanned file: workspace-relative path plus its extracted model.
 pub struct FileEntry {
@@ -22,6 +22,10 @@ pub struct FileEntry {
 
 /// Identifier of a function definition in the graph.
 pub type DefId = usize;
+
+/// What [`Graph::reach`] found: the reached definitions in BFS order, and
+/// each one's call-graph parent.
+pub type Reach = (Vec<DefId>, HashMap<DefId, DefId>);
 
 /// The workspace call graph.
 pub struct Graph<'a> {
@@ -177,18 +181,22 @@ impl<'a> Graph<'a> {
 
     /// BFS reachability from `roots`. Calls made inside `contain(...)`
     /// regions are not traversed when `skip_contained` is set — the
-    /// supervisor's runtime boundary already owns those panics. Returns,
-    /// for each reachable definition, the id of the call-graph parent it
-    /// was first reached through (roots map to themselves).
-    pub fn reach(&self, roots: &[DefId], skip_contained: bool) -> HashMap<DefId, DefId> {
+    /// supervisor's runtime boundary already owns those panics. Returns
+    /// every reachable definition in BFS order (roots first), and for each
+    /// the id of the call-graph parent it was first reached through (roots
+    /// map to themselves).
+    pub fn reach(&self, roots: &[DefId], skip_contained: bool) -> Reach {
         let mut parent: HashMap<DefId, DefId> = HashMap::new();
-        let mut queue: VecDeque<DefId> = VecDeque::new();
+        let mut order: Vec<DefId> = Vec::new();
         for &r in roots {
             if parent.insert(r, r).is_none() {
-                queue.push_back(r);
+                order.push(r);
             }
         }
-        while let Some(id) = queue.pop_front() {
+        // `order` doubles as the BFS queue: `next` is its head.
+        let mut next = 0;
+        while let Some(&id) = order.get(next) {
+            next += 1;
             let f = self.def(id);
             for call in &f.calls {
                 if skip_contained && call.contained {
@@ -197,12 +205,12 @@ impl<'a> Graph<'a> {
                 for target in self.resolve(call, f) {
                     if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(target) {
                         e.insert(id);
-                        queue.push_back(target);
+                        order.push(target);
                     }
                 }
             }
         }
-        parent
+        (order, parent)
     }
 
     /// The witness path root → … → `id`, as `file:fn` strings.
@@ -244,11 +252,23 @@ mod tests {
         ];
         let g = Graph::build(&files);
         let roots = g.defs_in_file("a.rs");
-        let reach = g.reach(&roots, true);
-        assert_eq!(reach.len(), 3);
+        let (reached, parents) = g.reach(&roots, true);
+        assert_eq!(reached.len(), 3);
         let leaf = g.all_defs().find(|&id| g.def(id).name == "leaf").unwrap();
-        let w = g.witness(&reach, leaf);
+        let w = g.witness(&parents, leaf);
         assert_eq!(w, vec!["a.rs:root", "b.rs:helper", "b.rs:leaf"]);
+    }
+
+    #[test]
+    fn reach_lists_definitions_in_bfs_order() {
+        let files = vec![entry(
+            "a.rs",
+            "fn root() { deep(); wide(); }\nfn deep() { leaf(); }\nfn wide() {}\nfn leaf() {}",
+        )];
+        let g = Graph::build(&files);
+        let (reached, _) = g.reach(&g.defs_in_file("a.rs")[..1], true);
+        let names: Vec<&str> = reached.iter().map(|&id| g.def(id).name.as_str()).collect();
+        assert_eq!(names, vec!["root", "deep", "wide", "leaf"]);
     }
 
     #[test]
@@ -262,8 +282,8 @@ mod tests {
         )];
         let g = Graph::build(&files);
         let root = g.all_defs().find(|&id| g.def(id).name == "root").unwrap();
-        let reach = g.reach(&[root], true);
-        let names: Vec<&str> = reach.keys().map(|&id| g.def(id).name.as_str()).collect();
+        let (reached, _) = g.reach(&[root], true);
+        let names: Vec<&str> = reached.iter().map(|&id| g.def(id).name.as_str()).collect();
         assert!(names.contains(&"inner"), "Guard::check reached via type");
         assert!(
             !names.contains(&"bad"),
@@ -279,8 +299,8 @@ mod tests {
         )];
         let g = Graph::build(&files);
         let root = g.all_defs().find(|&id| g.def(id).name == "root").unwrap();
-        let reach = g.reach(&[root], true);
-        assert_eq!(reach.len(), 3, "both candidate methods reached");
+        let (reached, _) = g.reach(&[root], true);
+        assert_eq!(reached.len(), 3, "both candidate methods reached");
     }
 
     #[test]
@@ -291,8 +311,8 @@ mod tests {
         )];
         let g = Graph::build(&files);
         let root = g.all_defs().find(|&id| g.def(id).name == "root").unwrap();
-        let reach = g.reach(&[root], true);
-        let names: Vec<&str> = reach.keys().map(|&id| g.def(id).name.as_str()).collect();
+        let (reached, _) = g.reach(&[root], true);
+        let names: Vec<&str> = reached.iter().map(|&id| g.def(id).name.as_str()).collect();
         assert!(names.contains(&"safe"));
         assert!(!names.contains(&"risky"));
     }
@@ -308,8 +328,8 @@ mod tests {
         )];
         let g = Graph::build(&files);
         let root = g.all_defs().find(|&id| g.def(id).name == "root").unwrap();
-        let reach = g.reach(&[root], true);
-        let names: Vec<&str> = reach.keys().map(|&id| g.def(id).name.as_str()).collect();
+        let (reached, _) = g.reach(&[root], true);
+        let names: Vec<&str> = reached.iter().map(|&id| g.def(id).name.as_str()).collect();
         assert!(names.contains(&"leaf"));
         assert!(
             !names.contains(&"other"),
@@ -326,8 +346,8 @@ mod tests {
         )];
         let g = Graph::build(&files);
         let root = g.all_defs().find(|&id| g.def(id).name == "root").unwrap();
-        let reach = g.reach(&[root], true);
-        let names: Vec<&str> = reach.keys().map(|&id| g.def(id).name.as_str()).collect();
+        let (reached, _) = g.reach(&[root], true);
+        let names: Vec<&str> = reached.iter().map(|&id| g.def(id).name.as_str()).collect();
         assert!(
             names.contains(&"write_pte"),
             "pt.map(va, pa) (no closure) must still over-approximate"
@@ -353,8 +373,8 @@ mod tests {
         )];
         let g = Graph::build(&files);
         let root = g.all_defs().find(|&id| g.def(id).name == "go").unwrap();
-        let reach = g.reach(&[root], true);
-        let names: Vec<&str> = reach.keys().map(|&id| g.def(id).name.as_str()).collect();
+        let (reached, _) = g.reach(&[root], true);
+        let names: Vec<&str> = reached.iter().map(|&id| g.def(id).name.as_str()).collect();
         assert!(!names.contains(&"bad"));
     }
 }

@@ -17,7 +17,7 @@
 //! 3. **record-registry** — every `impl Record for T` has a `reg!(T)`
 //!    layout-registry entry and a golden-encoding sample case.
 //! 4. **panic-path-alloc** — the panic/kexec handoff makes no `kheap`
-//!    allocations.
+//!    allocations, inside `contain(...)` or not.
 //! 5. **crash-point-label** — every `crash_point!` label matches the
 //!    `area.component.action` grammar, is unique workspace-wide, and is
 //!    declared in the crash-point registry; a registered label no code
@@ -39,9 +39,11 @@
 //!    the `stream_seed`/`experiment_seed` family — the byte-identical
 //!    `--jobs` guarantee.
 //!
-//! Rules 1–5 work from per-function sites and call-graph reachability;
-//! rules 6–8 sit on the interprocedural effect system ([`effects`]): a
-//! fixpoint pass computing, per function, which of five effects —
+//! Rules 1, 4, 6, 7 and 8 flag sites in everything their roots reach on
+//! one call graph ([`graph::Graph::reach`]). Only rule 1 stops at
+//! `contain(...)`: containment catches a panic, but it does not undo an
+//! allocation, a write, or a nondeterministic read. The same walk gives
+//! each function its effect summary ([`effects`]): which of five effects —
 //! `reads-dead-memory`, `writes-live-state`, `allocates`, `panics`,
 //! `nondeterministic` — its execution may have. `ow-lint --effects <fn>`
 //! prints a function's summary with one witness path per effect.
@@ -359,7 +361,6 @@ pub fn load_files(cfg: &Config) -> Result<Vec<FileEntry>, String> {
 pub fn effects_of(cfg: &Config, function: &str) -> Result<String, String> {
     let files = load_files(cfg)?;
     let graph = graph::Graph::build(&files);
-    let eff = effects::Effects::compute(&graph);
     let mut out = String::new();
     let mut matched = false;
     for id in graph.all_defs() {
@@ -372,25 +373,25 @@ pub fn effects_of(cfg: &Config, function: &str) -> Result<String, String> {
             continue;
         }
         matched = true;
-        let mask = eff.of(id);
+        let summary = effects::summary(&graph, id);
+        let names: Vec<&str> = summary.iter().map(|(name, _)| *name).collect();
+        let effects = if names.is_empty() {
+            "(pure)".to_string()
+        } else {
+            names.join(" + ")
+        };
         out.push_str(&format!(
-            "{}:{} fn {qualified}\n  effects: {mask}\n",
+            "{}:{} fn {qualified}\n  effects: {effects}\n",
             graph.file_of(id),
             def.line,
         ));
-        for (bit, name) in effects::ALL_EFFECTS {
-            if !mask.has(bit) {
-                continue;
-            }
-            match eff.witness(&graph, id, bit) {
-                Some(w) => out.push_str(&format!(
-                    "  {name}: {} at line {}\n    via {}\n",
-                    w.what,
-                    w.line,
-                    w.path.join(" -> "),
-                )),
-                None => out.push_str(&format!("  {name}: (no witness path)\n")),
-            }
+        for (name, w) in summary {
+            out.push_str(&format!(
+                "  {name}: {} at line {}\n    via {}\n",
+                w.what,
+                w.line,
+                w.path.join(" -> "),
+            ));
         }
     }
     if !matched {

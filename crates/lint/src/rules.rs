@@ -1,12 +1,17 @@
 //! The eight crash-safety rules, plus the escape-hatch bookkeeping
-//! (`allow-missing-reason` and `stale-allow` meta-findings). Rules 1–5
-//! work from per-function sites and reachability; rules 6–8 sit on the
-//! interprocedural effect summaries of [`crate::effects`].
+//! (`allow-missing-reason` and `stale-allow` meta-findings). Five checks
+//! (rules 1, 4, 6a, 7 and 8a) walk [`Graph::reach`] from a root set and
+//! flag sites in everything reached; three (rules 2, 6b and 8b) scan every
+//! function in a path scope; rules 3 and 5 check registries.
 
-use crate::extract::{NondetKind, PanicKind};
+use crate::extract::{FnDef, NondetKind, PanicKind};
 use crate::graph::{DefId, FileEntry, Graph};
 use crate::Config;
 use std::collections::{HashMap, HashSet};
+
+/// A rule's site extractor: the `(line, message)` violations one function,
+/// defined in the given file, contributes.
+type Sites<'a> = &'a dyn Fn(&FnDef, &str) -> Vec<(u32, String)>;
 
 /// Rule 1: panic on the recovery path.
 pub const RECOVERY_PANIC: &str = "recovery-panic";
@@ -116,10 +121,15 @@ impl Allows {
 /// file, line, rule) and the escape hatches actually in use.
 pub fn check(cfg: &Config, files: &[FileEntry]) -> (Vec<Finding>, Vec<AllowEntry>) {
     let graph = Graph::build(files);
-    let effects = crate::effects::Effects::compute(&graph);
     let mut allows = Allows::new(files);
     let mut findings = Vec::new();
     let file_idx = |path: &str| files.iter().position(|f| f.path == path);
+    let in_scope =
+        |scope: &[String], path: &str| scope.iter().any(|p| path.starts_with(p.as_str()));
+    // Every definition in the given files.
+    let file_roots = |paths: &[String]| -> Vec<DefId> {
+        paths.iter().flat_map(|f| graph.defs_in_file(f)).collect()
+    };
     // Resolves `(file, fn name)` root pairs to definition ids.
     let named_roots = |pairs: &[(String, String)]| -> Vec<DefId> {
         pairs
@@ -133,108 +143,224 @@ pub fn check(cfg: &Config, files: &[FileEntry]) -> (Vec<Finding>, Vec<AllowEntry
             })
             .collect()
     };
-
-    // Rule 1: panic-freedom of the recovery path.
-    let roots: Vec<_> = cfg
-        .recovery_roots
-        .iter()
-        .flat_map(|f| graph.defs_in_file(f))
+    let campaign_roots: Vec<DefId> = graph
+        .all_defs()
+        .filter(|&id| {
+            in_scope(&cfg.determinism_scope, graph.file_of(id))
+                && cfg.determinism_roots.contains(&graph.def(id).name)
+        })
         .collect();
-    let parents = graph.reach(&roots, true);
-    let mut reached: Vec<_> = parents.keys().copied().collect();
-    reached.sort_unstable();
-    for &id in &reached {
-        let def = graph.def(id);
-        let path = graph.file_of(id);
-        let Some(fi) = file_idx(path) else { continue };
-        for site in &def.panics {
-            if site.contained {
-                continue;
-            }
-            let desc = match &site.kind {
-                PanicKind::Unwrap => "unwrap() can panic".to_string(),
-                PanicKind::Expect => "expect() can panic".to_string(),
-                PanicKind::Macro(m) => format!("{m}! can panic"),
-                PanicKind::Indexing => {
-                    if !cfg.index_scope.iter().any(|p| path.starts_with(p.as_str())) {
-                        continue;
-                    }
-                    "slice/array indexing can panic".to_string()
+
+    // The reachability rules, one row each: the rule, its roots, whether
+    // `contain(...)` stops the walk, and the sites a reached function
+    // contributes. Only rule 1 stops there: the supervisor's boundary owns
+    // a contained panic, but containment does not undo an allocation, a
+    // write, or a nondeterministic read.
+    let reach_rules: [(&str, Vec<DefId>, bool, Sites); 5] = [
+        // Rule 1: panic-freedom of the recovery path.
+        (
+            RECOVERY_PANIC,
+            file_roots(&cfg.recovery_roots),
+            true,
+            &|def, path| {
+                let indexing_counts = in_scope(&cfg.index_scope, path);
+                def.panics
+                    .iter()
+                    .filter(|site| !site.contained)
+                    .filter_map(|site| {
+                        let desc = match &site.kind {
+                            PanicKind::Unwrap => "unwrap() can panic".to_string(),
+                            PanicKind::Expect => "expect() can panic".to_string(),
+                            PanicKind::Macro(m) => format!("{m}! can panic"),
+                            PanicKind::Indexing if indexing_counts => {
+                                "slice/array indexing can panic".to_string()
+                            }
+                            PanicKind::Indexing => return None,
+                        };
+                        Some((site.line, format!("{desc} on the recovery path")))
+                    })
+                    .collect()
+            },
+        ),
+        // Rule 4: no-alloc panic path.
+        (
+            PANIC_PATH_ALLOC,
+            file_roots(&cfg.panic_path),
+            false,
+            &|def, _| {
+                def.kheap_allocs
+                    .iter()
+                    .map(|(line, what)| (*line, format!("{what} on the panic/kexec handoff path")))
+                    .collect()
+            },
+        ),
+        // Rule 6a: validate-before-adopt. No function reachable from the
+        // adopt seam (`try_build_adopt_plan`, `rollback::apply`, the kexec
+        // frame/morph adopters) may read raw `PhysMem` outside the codec
+        // layer — on this path even the rule-2 file allowlist is not
+        // enough, because the bytes it produces are *written back into
+        // live kernel state*, so they must come through a typed validated
+        // reader or the WarmSeal/EpochCheckpoint codec.
+        (
+            VALIDATE_BEFORE_ADOPT,
+            named_roots(&cfg.adopt_roots),
+            false,
+            &|def, path| {
+                if in_scope(&cfg.taint_exempt, path) {
+                    return Vec::new();
                 }
-            };
-            if allows.try_allow(files, fi, site.line, RECOVERY_PANIC) {
-                continue;
+                def.taint_reads
+                    .iter()
+                    .map(|(line, method)| {
+                        let message = format!(
+                            "raw PhysMem::{method} feeds the adopt seam; dead-kernel bytes must \
+                             flow through a typed validated reader or the \
+                             WarmSeal/EpochCheckpoint codec before adoption"
+                        );
+                        (*line, message)
+                    })
+                    .collect()
+            },
+        ),
+        // Rule 7: validation-write-free. Nothing reachable from a
+        // validation pass may carry the writes-live-state effect —
+        // DESIGN.md §14's "zero writes during validation"; the attempt
+        // stamp burns only after the validation root returns.
+        (
+            VALIDATION_WRITE_FREE,
+            named_roots(&cfg.validation_roots),
+            false,
+            &|def, _| {
+                def.taint_writes
+                    .iter()
+                    .map(|(line, method)| {
+                        let message = format!(
+                            "PhysMem::{method} reachable from a validation pass; validation \
+                             must be write-free until the attempt stamp burns"
+                        );
+                        (*line, message)
+                    })
+                    .collect()
+            },
+        ),
+        // Rule 8a: campaign-determinism. Everything reachable from the
+        // campaign/merge roots in the determinism scope feeds merged
+        // results or JSON output, so it must not observe wall clock,
+        // environment, thread identity, or HashMap/HashSet iteration order
+        // — the byte-identical `--jobs` guarantee. Experiment bodies run
+        // contained, and containment catches panics, not nondeterminism.
+        (CAMPAIGN_DETERMINISM, campaign_roots, false, &|def, _| {
+            def.nondet
+                .iter()
+                .filter(|site| site.kind != NondetKind::RawSeed)
+                .map(|site| {
+                    let message = format!(
+                        "{} feeds merged campaign results; output must be byte-identical \
+                         across --jobs",
+                        site.what
+                    );
+                    (site.line, message)
+                })
+                .collect()
+        }),
+    ];
+    for (rule, roots, skip_contained, sites) in reach_rules {
+        let (mut reached, parents) = graph.reach(&roots, skip_contained);
+        reached.sort_unstable();
+        for id in reached {
+            let (def, path) = (graph.def(id), graph.file_of(id));
+            let Some(fi) = file_idx(path) else { continue };
+            for (line, message) in sites(def, path) {
+                if !allows.try_allow(files, fi, line, rule) {
+                    findings.push(Finding {
+                        rule: rule.to_string(),
+                        file: path.to_string(),
+                        line,
+                        function: def.name.clone(),
+                        message,
+                        via: graph.witness(&parents, id),
+                    });
+                }
             }
-            findings.push(Finding {
-                rule: RECOVERY_PANIC.to_string(),
-                file: path.to_string(),
-                line: site.line,
-                function: def.name.clone(),
-                message: format!("{desc} on the recovery path"),
-                via: graph.witness(&parents, id),
-            });
         }
     }
 
-    // Rule 4: no-alloc panic path.
-    let proots: Vec<_> = cfg
-        .panic_path
-        .iter()
-        .flat_map(|f| graph.defs_in_file(f))
-        .collect();
-    let pparents = graph.reach(&proots, true);
-    let mut preached: Vec<_> = pparents.keys().copied().collect();
-    preached.sort_unstable();
-    for &id in &preached {
-        let def = graph.def(id);
-        let path = graph.file_of(id);
-        let Some(fi) = file_idx(path) else { continue };
-        for (line, what) in &def.kheap_allocs {
-            if allows.try_allow(files, fi, *line, PANIC_PATH_ALLOC) {
-                continue;
+    // The scope scans, one row each: the rule and the sites a function
+    // contributes, none when its file is out of the rule's scope.
+    let scope_rules: [(&str, Sites); 3] = [
+        // Rule 2: untrusted-read taint.
+        (UNTRUSTED_READ, &|def, path| {
+            if in_scope(&cfg.taint_exempt, path) || cfg.taint_allow.iter().any(|(p, _)| p == path) {
+                return Vec::new();
             }
-            findings.push(Finding {
-                rule: PANIC_PATH_ALLOC.to_string(),
-                file: path.to_string(),
-                line: *line,
-                function: def.name.clone(),
-                message: format!("{what} on the panic/kexec handoff path"),
-                via: graph.witness(&pparents, id),
-            });
-        }
-    }
-
-    // Rule 2: untrusted-read taint.
-    for (fi, entry) in files.iter().enumerate() {
-        if cfg
-            .taint_exempt
-            .iter()
-            .any(|p| entry.path.starts_with(p.as_str()))
-        {
-            continue;
-        }
-        if cfg.taint_allow.iter().any(|(p, _)| *p == entry.path) {
-            continue;
-        }
-        for f in &entry.model.fns {
-            if f.in_test {
-                continue;
-            }
-            for (line, method) in &f.taint_reads {
-                if allows.try_allow(files, fi, *line, UNTRUSTED_READ) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: UNTRUSTED_READ.to_string(),
-                    file: entry.path.clone(),
-                    line: *line,
-                    function: f.name.clone(),
-                    message: format!(
+            def.taint_reads
+                .iter()
+                .map(|(line, method)| {
+                    let message = format!(
                         "raw PhysMem::{method} outside ow-layout and the allowlist; dead-kernel \
                          bytes must flow through validated cursors"
-                    ),
-                    via: Vec::new(),
-                });
+                    );
+                    (*line, message)
+                })
+                .collect()
+        }),
+        // Rule 6b: within the adopt-write scope, a function that both
+        // raw-reads and raw-writes `PhysMem` is adopting unvalidated bytes
+        // by construction, reachable or not.
+        (VALIDATE_BEFORE_ADOPT, &|def, path| {
+            let Some((read_line, _)) = def.taint_reads.first() else {
+                return Vec::new();
+            };
+            if !in_scope(&cfg.adopt_write_scope, path) {
+                return Vec::new();
+            }
+            def.taint_writes
+                .iter()
+                .map(|(line, method)| {
+                    let message = format!(
+                        "PhysMem::{method} in a function that also raw-reads dead memory \
+                         (line {read_line}); route the bytes through a validated codec before \
+                         writing them into live state"
+                    );
+                    (*line, message)
+                })
+                .collect()
+        }),
+        // Rule 8b: raw RNG seeds, scope-wide — a seed is wrong at its
+        // construction site, wherever that is.
+        (CAMPAIGN_DETERMINISM, &|def, path| {
+            if !in_scope(&cfg.determinism_scope, path) {
+                return Vec::new();
+            }
+            def.nondet
+                .iter()
+                .filter(|site| site.kind == NondetKind::RawSeed)
+                .map(|site| {
+                    let message = format!(
+                        "{}; campaign RNG seeds must derive via the \
+                         stream_seed/experiment_seed family",
+                        site.what
+                    );
+                    (site.line, message)
+                })
+                .collect()
+        }),
+    ];
+    for (rule, sites) in scope_rules {
+        for id in graph.all_defs() {
+            let (def, path) = (graph.def(id), graph.file_of(id));
+            let Some(fi) = file_idx(path) else { continue };
+            for (line, message) in sites(def, path) {
+                if !allows.try_allow(files, fi, line, rule) {
+                    findings.push(Finding {
+                        rule: rule.to_string(),
+                        file: path.to_string(),
+                        line,
+                        function: def.name.clone(),
+                        message,
+                        via: Vec::new(),
+                    });
+                }
             }
         }
     }
@@ -370,204 +496,6 @@ pub fn check(cfg: &Config, files: &[FileEntry]) -> (Vec<Finding>, Vec<AllowEntry
                     message: format!(
                         "registered crash point \"{label}\" has no crash_point!(\"{label}\") \
                          site; stale registry entry"
-                    ),
-                    via: Vec::new(),
-                });
-            }
-        }
-    }
-
-    // Rule 6: validate-before-adopt. Two complementary checks. (a) Every
-    // function reachable from the adopt seam (`try_build_adopt_plan`,
-    // `rollback::apply`, the kexec frame/morph adopters) must not read raw
-    // `PhysMem` outside the codec layer — on this path even the rule-2
-    // file allowlist is not enough, because the bytes it produces are
-    // *written back into live kernel state*, so they must come through a
-    // typed validated reader or the WarmSeal/EpochCheckpoint codec.
-    // (b) Within the adopt-write scope, a function that both raw-reads and
-    // raw-writes `PhysMem` is adopting unvalidated bytes by construction,
-    // reachable or not.
-    let aroots = named_roots(&cfg.adopt_roots);
-    let aparents = graph.reach(&aroots, false);
-    let mut areached: Vec<_> = aparents.keys().copied().collect();
-    areached.sort_unstable();
-    for &id in &areached {
-        let def = graph.def(id);
-        if !crate::effects::intrinsic(def).has(crate::effects::READS_DEAD) {
-            continue;
-        }
-        let path = graph.file_of(id);
-        if cfg
-            .taint_exempt
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
-        {
-            continue;
-        }
-        let Some(fi) = file_idx(path) else { continue };
-        for (line, method) in &def.taint_reads {
-            if allows.try_allow(files, fi, *line, VALIDATE_BEFORE_ADOPT) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: VALIDATE_BEFORE_ADOPT.to_string(),
-                file: path.to_string(),
-                line: *line,
-                function: def.name.clone(),
-                message: format!(
-                    "raw PhysMem::{method} feeds the adopt seam; dead-kernel bytes must flow \
-                     through a typed validated reader or the WarmSeal/EpochCheckpoint codec \
-                     before adoption"
-                ),
-                via: graph.witness(&aparents, id),
-            });
-        }
-    }
-    for (fi, entry) in files.iter().enumerate() {
-        if !cfg
-            .adopt_write_scope
-            .iter()
-            .any(|p| entry.path.starts_with(p.as_str()))
-        {
-            continue;
-        }
-        for f in &entry.model.fns {
-            if f.in_test || f.taint_reads.is_empty() || f.taint_writes.is_empty() {
-                continue;
-            }
-            let (read_line, _) = f.taint_reads[0];
-            for (line, method) in &f.taint_writes {
-                if allows.try_allow(files, fi, *line, VALIDATE_BEFORE_ADOPT) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: VALIDATE_BEFORE_ADOPT.to_string(),
-                    file: entry.path.clone(),
-                    line: *line,
-                    function: f.name.clone(),
-                    message: format!(
-                        "PhysMem::{method} in a function that also raw-reads dead memory \
-                         (line {read_line}); route the bytes through a validated codec before \
-                         writing them into live state"
-                    ),
-                    via: Vec::new(),
-                });
-            }
-        }
-    }
-
-    // Rule 7: validation-write-free. Nothing reachable from a validation
-    // pass may carry the writes-live-state effect — DESIGN.md §14's "zero
-    // writes during validation"; the attempt stamp burns only after the
-    // validation root returns.
-    let vroots = named_roots(&cfg.validation_roots);
-    let vparents = graph.reach(&vroots, true);
-    let mut vreached: Vec<_> = vparents.keys().copied().collect();
-    vreached.sort_unstable();
-    for &id in &vreached {
-        let def = graph.def(id);
-        if !effects.of(id).has(crate::effects::WRITES_LIVE) {
-            continue;
-        }
-        let path = graph.file_of(id);
-        let Some(fi) = file_idx(path) else { continue };
-        for (line, method) in &def.taint_writes {
-            if allows.try_allow(files, fi, *line, VALIDATION_WRITE_FREE) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: VALIDATION_WRITE_FREE.to_string(),
-                file: path.to_string(),
-                line: *line,
-                function: def.name.clone(),
-                message: format!(
-                    "PhysMem::{method} reachable from a validation pass; validation must be \
-                     write-free until the attempt stamp burns"
-                ),
-                via: graph.witness(&vparents, id),
-            });
-        }
-    }
-
-    // Rule 8: campaign-determinism. Everything reachable from the
-    // campaign/merge roots in the determinism scope feeds merged results
-    // or JSON output, so it must not observe wall clock, environment,
-    // thread identity, or HashMap/HashSet iteration order — the
-    // byte-identical `--jobs` guarantee. Contained calls are traversed:
-    // containment catches panics, not nondeterminism, and experiment
-    // bodies run contained. Raw RNG seeds are checked scope-wide instead
-    // (reachability-independent — a seed is wrong at its construction
-    // site, wherever that is).
-    let in_dscope = |path: &str| {
-        cfg.determinism_scope
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
-    };
-    let droots: Vec<DefId> = graph
-        .all_defs()
-        .filter(|&id| {
-            in_dscope(graph.file_of(id))
-                && cfg
-                    .determinism_roots
-                    .iter()
-                    .any(|n| n == &graph.def(id).name)
-        })
-        .collect();
-    let dparents = graph.reach(&droots, false);
-    let mut dreached: Vec<_> = dparents.keys().copied().collect();
-    dreached.sort_unstable();
-    for &id in &dreached {
-        let def = graph.def(id);
-        if !crate::effects::intrinsic(def).has(crate::effects::NONDET) {
-            continue;
-        }
-        let path = graph.file_of(id);
-        let Some(fi) = file_idx(path) else { continue };
-        for site in &def.nondet {
-            if site.kind == NondetKind::RawSeed {
-                continue;
-            }
-            if allows.try_allow(files, fi, site.line, CAMPAIGN_DETERMINISM) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: CAMPAIGN_DETERMINISM.to_string(),
-                file: path.to_string(),
-                line: site.line,
-                function: def.name.clone(),
-                message: format!(
-                    "{} feeds merged campaign results; output must be byte-identical across \
-                     --jobs",
-                    site.what
-                ),
-                via: graph.witness(&dparents, id),
-            });
-        }
-    }
-    for (fi, entry) in files.iter().enumerate() {
-        if !in_dscope(&entry.path) {
-            continue;
-        }
-        for f in &entry.model.fns {
-            if f.in_test {
-                continue;
-            }
-            for site in &f.nondet {
-                if site.kind != NondetKind::RawSeed {
-                    continue;
-                }
-                if allows.try_allow(files, fi, site.line, CAMPAIGN_DETERMINISM) {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: CAMPAIGN_DETERMINISM.to_string(),
-                    file: entry.path.clone(),
-                    line: site.line,
-                    function: f.name.clone(),
-                    message: format!(
-                        "{}; campaign RNG seeds must derive via the \
-                         stream_seed/experiment_seed family",
-                        site.what
                     ),
                     via: Vec::new(),
                 });

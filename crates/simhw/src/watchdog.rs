@@ -37,11 +37,6 @@ impl Watchdog {
         self.enabled = false;
     }
 
-    /// Whether the watchdog is armed.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Resets the countdown ("pets" the dog). The kernel does this from its
     /// timer tick while healthy.
     pub fn pet(&mut self, now: u64) {
