@@ -109,4 +109,4 @@ cargo run -q -p ow-lint --release -- --json > "$smoke_dir/BENCH_lint.json"
 cmp "$smoke_dir/BENCH_lint.json" BENCH_lint.json \
     || { echo "BENCH_lint.json is stale; regenerate it (see ci.sh) and commit" >&2; exit 1; }
 cargo fmt --check
-cargo doc --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

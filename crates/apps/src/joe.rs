@@ -357,7 +357,7 @@ impl Workload for JoeWorkload {
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        verify_shadow(k, self.name(), &self.shadow, read_state, |_| {
+        verify_shadow(k, self.name(), &mut self.shadow, read_state, |_| {
             "editor state diverged from remote log".into()
         })
     }

@@ -293,12 +293,9 @@ impl Workload for ViWorkload {
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        verify_shadow(k, "vi", &self.shadow, read_state, |state| {
-            format!(
-                "text len {} vs shadow {}",
-                state.text.len(),
-                self.shadow.committed.text.len()
-            )
+        let shadow_len = self.shadow.committed.text.len();
+        verify_shadow(k, "vi", &mut self.shadow, read_state, |state| {
+            format!("text len {} vs shadow {shadow_len}", state.text.len())
         })
     }
 }

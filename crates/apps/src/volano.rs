@@ -251,7 +251,7 @@ impl Workload for VolanoWorkload {
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        verify_shadow(k, "volano", &self.shadow, read_rooms, |_| {
+        verify_shadow(k, "volano", &mut self.shadow, read_rooms, |_| {
             "room histories diverge from the client log".into()
         })
     }

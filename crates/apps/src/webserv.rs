@@ -361,7 +361,7 @@ impl Workload for WebServWorkload {
     }
 
     fn verify(&mut self, k: &mut Kernel, _pid: u64) -> VerifyResult {
-        verify_shadow(k, "httpd", &self.shadow, read_sessions, |_| {
+        verify_shadow(k, "httpd", &mut self.shadow, read_sessions, |_| {
             "session store diverges from the client log".into()
         })
     }

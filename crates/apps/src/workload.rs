@@ -270,12 +270,13 @@ fn run_batch(k: &mut Kernel, drained: impl Fn(&Kernel) -> bool) -> bool {
 
 /// Checks process `name` against the remote log: reads its state back with
 /// `read`, and reports it intact when it equals any state the log deems
-/// legitimate, `Corrupted(why(state))` when it equals none, and missing
-/// when the process or its state cannot be read.
+/// legitimate (which `shadow` then settles on), `Corrupted(why(state))`
+/// when it equals none, and missing when the process or its state cannot
+/// be read.
 pub(crate) fn verify_shadow<S: Clone + PartialEq>(
     k: &mut Kernel,
     name: &str,
-    shadow: &BatchShadow<S>,
+    shadow: &mut BatchShadow<S>,
     read: fn(&mut Kernel, u64) -> Option<S>,
     why: impl FnOnce(&S) -> String,
 ) -> VerifyResult {
@@ -318,14 +319,12 @@ impl<S: Clone> BatchShadow<S> {
         }
     }
 
-    /// Commits the in-flight batch (the application consumed all of it).
+    /// Commits the in-flight batch (the application consumed all of it),
+    /// applying it to the committed state in place.
     pub fn commit(&mut self) {
-        let mut s = self.committed.clone();
-        for op in &self.batch {
-            op(&mut s);
+        for op in self.batch.drain(..) {
+            op(&mut self.committed);
         }
-        self.committed = s;
-        self.batch.clear();
     }
 
     /// Begins a new batch of operations (commits the previous one).
@@ -347,9 +346,25 @@ impl<S: Clone> BatchShadow<S> {
         out
     }
 
-    /// Whether `pred` holds for any legitimate state.
-    pub fn matches(&self, pred: impl Fn(&S) -> bool) -> bool {
-        self.candidates().iter().any(pred)
+    /// Whether `pred` holds for any legitimate state. The first state it
+    /// holds for is where the application is: it becomes the committed
+    /// state, and the rest of the in-flight batch, which died with the
+    /// hardware, is dropped. When it holds for none, nothing changes.
+    pub fn matches(&mut self, pred: impl Fn(&S) -> bool) -> bool {
+        if pred(&self.committed) {
+            self.batch.clear();
+            return true;
+        }
+        let mut s = self.committed.clone();
+        for op in &self.batch {
+            op(&mut s);
+            if pred(&s) {
+                self.committed = s;
+                self.batch.clear();
+                return true;
+            }
+        }
+        false
     }
 }
 

@@ -48,11 +48,27 @@ fn batch_shadow_candidates_cover_prefixes() {
     ]);
     let candidates = s.candidates();
     assert_eq!(candidates, vec![vec![], vec![1], vec![1, 2]]);
-    assert!(s.matches(|v| v.len() == 1));
-    assert!(!s.matches(|v| v.len() == 3));
-    // A new batch commits the previous one entirely.
+    // A new batch commits the previous one entirely when no verify saw it.
     s.begin_batch(vec![Box::new(|v: &mut Vec<u32>| v.push(3))]);
     assert_eq!(s.committed, vec![1, 2]);
+}
+
+#[test]
+fn batch_shadow_settles_on_the_verified_prefix() {
+    let mut s: BatchShadow<Vec<u32>> = BatchShadow::new(vec![]);
+    s.begin_batch(vec![
+        Box::new(|v: &mut Vec<u32>| v.push(1)),
+        Box::new(|v: &mut Vec<u32>| v.push(2)),
+    ]);
+    // A state the log never allowed changes nothing.
+    assert!(!s.matches(|v| v.len() == 3));
+    assert_eq!(s.candidates(), vec![vec![], vec![1], vec![1, 2]]);
+    // A verified prefix becomes the committed state, and the rest of the
+    // batch, which died with the hardware, is dropped.
+    assert!(s.matches(|v| v.len() == 1));
+    assert_eq!(s.candidates(), vec![vec![1]]);
+    s.begin_batch(vec![Box::new(|v: &mut Vec<u32>| v.push(3))]);
+    assert_eq!(s.committed, vec![1]);
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! * [`Record`] — the declarative codec trait: magic, layout version,
 //!   footprint, body codec and deep validation per structure, with the
 //!   single magic gate ([`check_magic`]) provided once.
-//! * [`records`](crate::records) — every kernel structure the crash kernel
-//!   must parse, from the frame-0 [`HandoffBlock`] to [`SockDesc`].
+//! * `records` — every kernel structure the crash kernel must parse, from
+//!   the frame-0 [`HandoffBlock`] to [`SockDesc`].
 //! * [`trace`] — the flight-recorder region layout and its CRC-framed
 //!   record slots.
 //! * [`crc`] — the one shared CRC-32, guarding trace slots and the §4

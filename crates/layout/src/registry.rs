@@ -16,10 +16,9 @@ use crate::trace::{hdr_off, RECORD_SIZE, TRACE_MAGIC};
 use ow_simhw::{PhysAddr, PhysMem};
 
 /// The layout generation of this build: the maximum [`Record::VERSION`]
-/// over every registered structure. Stamped into the
-/// [`HandoffBlock`](crate::records::HandoffBlock) at boot; a crash kernel
-/// that finds a different generation refuses the handoff instead of
-/// misparsing the dead kernel's structures.
+/// over every registered structure. Stamped into the [`HandoffBlock`] at
+/// boot; a crash kernel that finds a different generation refuses the
+/// handoff instead of misparsing the dead kernel's structures.
 pub const LAYOUT_VERSION: u32 = 2;
 
 /// How a registered structure is guarded against corruption.
