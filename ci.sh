@@ -3,17 +3,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-cargo build --release
+cargo build --release --workspace
 cargo test --workspace -q
-# The crash-point subsystem is compiled out by default; test it explicitly.
-cargo test -p ow-crashpoint --features crashpoint -q
-cargo test -p ow-faultinject --features crashpoint -q
-# The heavy-tests property suites (the page-store and flush-always MMU
-# oracles, the layout corruption properties, the byte-identical resurrected
-# address spaces, ...) are off by default; run them here so they gate every
-# change.
-cargo test -q -p otherworld -p ow-simhw -p ow-layout -p ow-kernel -p ow-apps -p ow-faultinject \
-    --features otherworld/heavy-tests,ow-simhw/heavy-tests,ow-layout/heavy-tests,ow-kernel/heavy-tests,ow-apps/heavy-tests,ow-faultinject/heavy-tests
 # The benchmark package is its own workspace; its contract and fidelity
 # tests compile it against the workspace names it imports.
 cargo test -q --manifest-path benchmark/Cargo.toml
@@ -33,7 +24,7 @@ cmp "$smoke_dir/jobs1.json" "$smoke_dir/jobs4.json" \
 # panic->handoff->crash-boot->resurrect->morph pipeline per cell, with zero
 # policy violations and byte-identical to the committed matrix (generated at
 # --jobs 2, so this also checks --jobs independence).
-cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
+cargo run -q -p ow-bench --release --bin crashpoints -- \
     --jobs 4 --json "$smoke_dir/BENCH_crashpoints.json" >/dev/null
 cmp "$smoke_dir/BENCH_crashpoints.json" BENCH_crashpoints.json \
     || { echo "BENCH_crashpoints.json is stale; regenerate it (see ci.sh) and commit" >&2; exit 1; }
@@ -41,10 +32,10 @@ cmp "$smoke_dir/BENCH_crashpoints.json" BENCH_crashpoints.json \
 # The whole matrix under warm morph + lazy resurrection: the validate-
 # then-adopt path must be just as deterministic and just as policy-clean
 # (the binary exits non-zero on any unexpected cell).
-cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
+cargo run -q -p ow-bench --release --bin crashpoints -- \
     --morph warm --strategy lazy \
     --jobs 1 --json "$smoke_dir/cpw1.json" >/dev/null
-cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
+cargo run -q -p ow-bench --release --bin crashpoints -- \
     --morph warm --strategy lazy \
     --jobs 4 --json "$smoke_dir/cpw4.json" >/dev/null
 cmp "$smoke_dir/cpw1.json" "$smoke_dir/cpw4.json" \
@@ -53,10 +44,10 @@ cmp "$smoke_dir/cpw1.json" "$smoke_dir/cpw4.json" \
 # The whole matrix with rollback-in-place (rung 0) enabled: the epoch
 # validate/apply path and its fall-through must be deterministic and
 # policy-clean too.
-cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
+cargo run -q -p ow-bench --release --bin crashpoints -- \
     --rollback \
     --jobs 1 --json "$smoke_dir/cpr1.json" >/dev/null
-cargo run -q -p ow-bench --release --features crashpoint --bin crashpoints -- \
+cargo run -q -p ow-bench --release --bin crashpoints -- \
     --rollback \
     --jobs 4 --json "$smoke_dir/cpr4.json" >/dev/null
 cmp "$smoke_dir/cpr1.json" "$smoke_dir/cpr4.json" \
@@ -100,7 +91,7 @@ for example in quickstart editor_survives_crash inmemory_db web_sessions \
     cargo run -q --release --example "$example" >/dev/null
 done
 
-cargo clippy --all-targets --all-features -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo run -p ow-lint --release -- --deny
 # The lint's active allow list is a committed baseline: a new escape hatch
 # (or a silently grown one) must show up in the diff. Regenerate with the

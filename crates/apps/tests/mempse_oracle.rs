@@ -2,12 +2,6 @@
 //! under random insert/update/delete sequences — the invariant MySQL's
 //! crash procedure and data verification both rely on. Driven by the
 //! vendored [`SimRng`] instead of proptest so it runs fully offline.
-//!
-//! Gated behind the off-by-default `heavy-tests` feature: these are the
-//! slow, many-cases sweeps. The tier-1 offline gate (`ci.sh`) builds them
-//! with `--all-features` clippy so they stay warning-clean, but only runs
-//! them when asked (`cargo test --features heavy-tests`).
-#![cfg(feature = "heavy-tests")]
 
 use ow_apps::mempse;
 use ow_kernel::program::{Program, ProgramRegistry, StepResult, UserApi};

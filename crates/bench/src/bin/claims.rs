@@ -85,8 +85,8 @@ fn materialized(strategy: ResurrectionStrategy, seconds: f64, report: &ProcRepor
 fn main() {
     // Every sweep below is a fixed list of independent simulator runs, so
     // they ride the same deterministic parallel engine as the campaigns
-    // (`--jobs N` / `OW_JOBS`; output is identical for every job count
-    // because results are merged in item order before printing).
+    // (`--jobs N`; output is identical for every job count because results
+    // are merged in item order before printing).
     let args: Vec<String> = std::env::args().collect();
     let jobs = ow_bench::cli::flag(&args, "--jobs").unwrap_or(0);
 

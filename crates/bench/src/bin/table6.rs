@@ -3,10 +3,9 @@
 //! By default this measures the full recovery matrix — every workload
 //! under each of the five recovery configurations (cold/warm morph ×
 //! eager/lazy resurrection, plus rollback-in-place, the ladder's rung 0).
-//! `--fast` keeps the legacy two-column table
-//! with the §7 fast-crash-boot optimization. `--json PATH` writes the
-//! machine-readable matrix (pinned by `BENCH_table6.json`); `--jobs N`
-//! shards the matrix cells across workers with byte-identical output.
+//! `--json PATH` writes the machine-readable matrix (pinned by
+//! `BENCH_table6.json`); `--jobs N` shards the matrix cells across workers
+//! with byte-identical output.
 
 #![forbid(unsafe_code)]
 
@@ -14,28 +13,8 @@ use ow_bench::cli;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = cli::switch(&args, "--fast");
     let json_path: Option<String> = cli::flag(&args, "--json");
     let jobs = cli::flag(&args, "--jobs").unwrap_or(0);
-
-    if fast {
-        let rows: Vec<Vec<String>> = ow_bench::tables::table6_fast()
-            .into_iter()
-            .map(|r| {
-                vec![
-                    r.name.to_string(),
-                    format!("{:.0}", r.boot_seconds),
-                    format!("{:.0}", r.interruption_seconds),
-                ]
-            })
-            .collect();
-        ow_bench::print_table(
-            "Table 6 (with the §7 fast-crash-boot optimization).",
-            &["Application", "Boot time", "Service interruption time"],
-            &rows,
-        );
-        return;
-    }
 
     let rows = ow_bench::tables::table6_matrix(jobs);
     let printable: Vec<Vec<String>> = rows

@@ -416,18 +416,6 @@ pub fn recovery_json(r: &RecoveryCampaignResult) -> Value {
     ])
 }
 
-/// Table 6 row: cold-boot vs service-interruption time for one workload.
-#[derive(Debug, Clone)]
-pub struct Table6Row {
-    /// Workload name.
-    pub name: &'static str,
-    /// Seconds from power-on to the workload being operational.
-    pub boot_seconds: f64,
-    /// Seconds from the kernel failure to the workload being operational
-    /// again.
-    pub interruption_seconds: f64,
-}
-
 fn shell_operational(k: &mut Kernel, term: u32) -> bool {
     // Operational = the shell echoes a probe keystroke.
     let _ = k.term_input(term, b"k");
@@ -516,18 +504,6 @@ pub struct Table6MatrixRow {
     pub cells: Vec<Table6Cell>,
 }
 
-/// Table 6 with the §7 fast-crash-boot optimization toggled (legacy
-/// cold/eager pipeline).
-pub fn table6_row_with(app: &'static str, fast_crash_boot: bool) -> Table6Row {
-    let mode = TABLE6_MODES[0];
-    let (boot_seconds, cell) = table6_measure(app, fast_crash_boot, mode);
-    Table6Row {
-        name: app_label(app),
-        boot_seconds,
-        interruption_seconds: cell.interruption_seconds,
-    }
-}
-
 /// Runs one (app, mode) simulation: cold boot to operational, steady
 /// state, kernel failure, microreboot under `mode`, back to operational.
 pub fn table6_measure(
@@ -596,14 +572,6 @@ pub fn table6_measure(
             adoption: report.adoption,
         },
     )
-}
-
-/// Table 6 with the fast-crash-boot optimization (§7 future work).
-pub fn table6_fast() -> Vec<Table6Row> {
-    TABLE6_APPS
-        .into_iter()
-        .map(|app| table6_row_with(app, true))
-        .collect()
 }
 
 /// The full warm-morph matrix: every app under every recovery mode. Each

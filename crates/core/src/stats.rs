@@ -53,29 +53,6 @@ pub enum ReadKind {
 }
 
 impl ReadKind {
-    /// Stable label (report formatting).
-    pub fn name(self) -> &'static str {
-        match self {
-            ReadKind::KernelHeader => "kernel_header",
-            ReadKind::ProcDesc => "proc_desc",
-            ReadKind::Vma => "vma",
-            ReadKind::FileTable => "file_table",
-            ReadKind::FileRecord => "file_record",
-            ReadKind::PageCacheNode => "page_cache_node",
-            ReadKind::SigTable => "sig_table",
-            ReadKind::ShmDesc => "shm_desc",
-            ReadKind::SockDesc => "sock_desc",
-            ReadKind::PipeDesc => "pipe_desc",
-            ReadKind::SwapDesc => "swap_desc",
-            ReadKind::TermDesc => "term_desc",
-            ReadKind::PageTables => "page_tables",
-            ReadKind::TerminalScreen => "terminal_screen",
-            ReadKind::SockPayload => "sock_payload",
-            ReadKind::PipeBuffer => "pipe_buffer",
-            ReadKind::EpochCheckpoint => "epoch_checkpoint",
-        }
-    }
-
     /// Name of the corresponding [`ow_layout::REGISTRY`] entry for kinds
     /// that account fixed-size records, or `None` for the variable-size
     /// buckets (page tables, screens, payload bytes).
@@ -148,15 +125,6 @@ impl ReadStats {
             }
         }
         bad
-    }
-
-    /// Folds another stats block into this one.
-    pub fn merge(&mut self, other: &ReadStats) {
-        self.total_bytes += other.total_bytes;
-        self.pt_bytes += other.pt_bytes;
-        for (&k, v) in &other.by_kind {
-            *self.by_kind.entry(k).or_insert(0) += v;
-        }
     }
 }
 
@@ -390,18 +358,6 @@ mod tests {
         assert_eq!(s.total_bytes, 400);
         assert_eq!(s.pt_bytes, 300);
         assert!((s.pt_fraction() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_folds_breakdowns() {
-        let mut a = ReadStats::default();
-        a.add(ReadKind::Vma, 10);
-        let mut b = ReadStats::default();
-        b.add(ReadKind::Vma, 5);
-        b.add(ReadKind::PageTables, 20);
-        a.merge(&b);
-        assert_eq!(a.by_kind[&ReadKind::Vma], 15);
-        assert_eq!(a.pt_bytes, 20);
     }
 
     #[test]

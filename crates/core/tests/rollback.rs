@@ -15,8 +15,8 @@
 
 use ow_core::{microreboot, LadderRung, OtherworldConfig};
 use ow_kernel::layout::{
-    ckpt_slot_addr, crc::crc32, oflags, snipkind, EpochCheckpoint, ProcDesc, Record, CKPT_SLOTS,
-    SNIP_HEADER_BYTES,
+    ckpt_slot_addr, crc::crc32, oflags, parse_snippet, snipkind, EpochCheckpoint, ProcDesc, Record,
+    CKPT_SLOTS,
 };
 use ow_kernel::{
     program::{Program, ProgramRegistry, StepResult, UserApi, PROG_STATE_VADDR},
@@ -282,20 +282,19 @@ fn spoil_checkpoint(k: &mut Kernel, spoil: &Spoil) {
             let base = addr + EpochCheckpoint::SIZE;
             let mut off = 0u64;
             let mut poisoned = false;
-            while off + SNIP_HEADER_BYTES <= c.payload_len {
-                let mut hdr = [0u8; SNIP_HEADER_BYTES as usize];
-                k.machine.phys.read(base + off, &mut hdr).expect("snip hdr");
-                let kind = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-                let len = u32::from_le_bytes(hdr[12..16].try_into().unwrap()) as u64;
-                if kind == snipkind::PROC {
-                    let src = base + off + SNIP_HEADER_BYTES;
-                    let (mut desc, _) = ProcDesc::read(&k.machine.phys, src).expect("sealed desc");
+            while off < c.payload_len {
+                let (snip, next) =
+                    parse_snippet(&k.machine.phys, base, c.payload_len, off).expect("snippet");
+                if snip.kind == snipkind::PROC {
+                    let (mut desc, _) =
+                        ProcDesc::read(&k.machine.phys, snip.src).expect("sealed desc");
                     desc.state = 0xdead;
-                    desc.write(&mut k.machine.phys, src).expect("poison desc");
+                    desc.write(&mut k.machine.phys, snip.src)
+                        .expect("poison desc");
                     poisoned = true;
                     break;
                 }
-                off += SNIP_HEADER_BYTES + len;
+                off = next;
             }
             assert!(poisoned, "no sealed process descriptor to poison");
             let mut payload = vec![0u8; c.payload_len as usize];

@@ -75,8 +75,8 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Workload batches to run before/around the injection point.
     pub max_batches: u32,
-    /// Worker threads for the sharded engine: `0` = auto (`OW_JOBS`, then
-    /// available parallelism). Results are byte-identical for every value.
+    /// Worker threads for the sharded engine: `0` = auto (available
+    /// parallelism). Results are byte-identical for every value.
     pub jobs: usize,
     /// Morph mode for every experiment's microreboot (Table 6 reruns the
     /// campaign warm to prove adoption never changes an outcome).

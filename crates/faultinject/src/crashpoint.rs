@@ -87,7 +87,7 @@ pub fn cell_seed(base: u64, label: &str, app: &str, protected: bool) -> u64 {
 pub struct CellSpec {
     /// The armed crash-point label.
     pub label: String,
-    /// Application name (a [`ow_apps::TABLE5_APPS`] entry).
+    /// Application name (a [`ow_apps::workload::TABLE5_APPS`] entry).
     pub app: String,
     /// Memory-protected mode.
     pub protected: bool,

@@ -45,22 +45,13 @@ use std::time::Duration;
 /// campaign length.
 pub const CLAIM_WINDOW_PER_JOB: u64 = 4;
 
-/// Resolves a requested job count: `0` means "auto" — the `OW_JOBS`
-/// environment variable if set to a positive integer, otherwise the
-/// machine's available parallelism.
+/// Resolves a requested job count: `0` means "auto", the machine's
+/// available parallelism.
 pub fn resolve_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
     // ow-lint: allow(campaign-determinism) -- job count only affects work scheduling; the seed-ordered merger keeps output byte-identical for every value
-    if let Some(n) = std::env::var("OW_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    // ow-lint: allow(campaign-determinism) -- same: parallelism picks the worker count, never the merge order
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

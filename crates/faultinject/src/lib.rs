@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-#[cfg(feature = "crashpoint")]
 pub mod crashpoint;
 pub mod engine;
 pub mod faults;
@@ -24,7 +23,6 @@ pub use campaign::{
     experiment_seed, fault_stream_seed, run_campaign, run_experiment, workload_stream_seed,
     CampaignConfig, CampaignResult, ExperimentRecord, Outcome,
 };
-#[cfg(feature = "crashpoint")]
 pub use crashpoint::{
     campaign_crashpoints, cell_seed, crashpoints_json, discover_points, run_cell, CellOutcome,
     CellRecord, CellSpec, CrashpointCampaignConfig, CrashpointCampaignResult, CRASHPOINT_SEED,

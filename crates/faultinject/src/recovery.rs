@@ -26,8 +26,8 @@ use ow_core::{
 };
 use ow_kernel::{
     layout::{
-        ckpt_slot_addr, crc::crc32, pstate, snipkind, EpochCheckpoint, HandoffBlock, ProcDesc,
-        Record, CKPT_SLOTS, SNIP_HEADER_BYTES,
+        ckpt_slot_addr, crc::crc32, parse_snippet, pstate, snipkind, EpochCheckpoint, HandoffBlock,
+        ProcDesc, Record, CKPT_SLOTS,
     },
     Kernel, KernelConfig, PanicOutcome,
 };
@@ -230,8 +230,8 @@ pub struct RecoveryCampaignConfig {
     /// Campaign seed (experiment `i` uses
     /// [`experiment_seed`]`(seed, i)`).
     pub seed: u64,
-    /// Worker threads for the sharded engine: `0` = auto (`OW_JOBS`, then
-    /// available parallelism). Results are identical for every value.
+    /// Worker threads for the sharded engine: `0` = auto (available
+    /// parallelism). Results are identical for every value.
     pub jobs: usize,
 }
 
@@ -363,20 +363,16 @@ fn inject_poisoned_desc(k: &mut Kernel) {
     };
     let base = addr + EpochCheckpoint::SIZE;
     let mut off = 0u64;
-    while off + SNIP_HEADER_BYTES <= c.payload_len {
-        let mut hdr = [0u8; SNIP_HEADER_BYTES as usize];
-        if k.machine.phys.read(base + off, &mut hdr).is_err() {
+    while off < c.payload_len {
+        let Ok((snip, next)) = parse_snippet(&k.machine.phys, base, c.payload_len, off) else {
             return;
-        }
-        let kind = u32::from_le_bytes(hdr[8..12].try_into().expect("snippet kind"));
-        let len = u32::from_le_bytes(hdr[12..16].try_into().expect("snippet len")) as u64;
-        if kind == snipkind::PROC {
-            let src = base + off + SNIP_HEADER_BYTES;
-            let Ok((mut desc, _)) = ProcDesc::read(&k.machine.phys, src) else {
+        };
+        if snip.kind == snipkind::PROC {
+            let Ok((mut desc, _)) = ProcDesc::read(&k.machine.phys, snip.src) else {
                 return;
             };
             desc.state = 0xdead; // far outside pstate's valid range
-            desc.write(&mut k.machine.phys, src)
+            desc.write(&mut k.machine.phys, snip.src)
                 .expect("poison sealed desc");
             let mut payload = vec![0u8; c.payload_len as usize];
             k.machine
@@ -388,7 +384,7 @@ fn inject_poisoned_desc(k: &mut Kernel) {
                 .expect("reseal poisoned epoch");
             return;
         }
-        off += SNIP_HEADER_BYTES + len;
+        off = next;
     }
 }
 

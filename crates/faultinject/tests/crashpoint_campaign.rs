@@ -4,8 +4,6 @@
 //! full-matrix record, and the count-only discovery pass reaches a pinned
 //! minimum of labeled points.
 
-#![cfg(feature = "crashpoint")]
-
 use ow_core::{MorphMode, ResurrectionStrategy};
 use ow_faultinject::{
     campaign_crashpoints, crashpoints_json, discover_points, CrashpointCampaignConfig,

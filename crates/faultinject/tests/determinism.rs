@@ -107,7 +107,7 @@ impl PanickyWorkload {
             inner: ViWorkload::new(seed),
             // Deterministic in the workload seed, so every job count sees
             // the same panics at the same experiments.
-            explode: seed % 3 == 0,
+            explode: seed.is_multiple_of(3),
         }
     }
 }
@@ -156,9 +156,7 @@ fn worker_panics_become_classified_outcomes_not_poisoned_channels() {
 }
 
 /// Property test: any (jobs, experiments, seed) triple agrees with the
-/// serial reference. Heavier than the pinned cases above, so it rides the
-/// opt-in `heavy-tests` feature like the other property suites.
-#[cfg(feature = "heavy-tests")]
+/// serial reference.
 #[test]
 fn any_job_count_matches_serial_property() {
     let mut rng = SimRng::seed_from_u64(0x0eaf_1e55);

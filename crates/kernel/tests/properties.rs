@@ -1,12 +1,6 @@
 //! Property-based tests for the kernel substrate: structure layouts,
 //! the kernel heap and the filesystem — driven by the vendored [`SimRng`]
 //! instead of proptest so they run fully offline.
-//!
-//! Gated behind the off-by-default `heavy-tests` feature: these are the
-//! slow, many-cases sweeps. The tier-1 offline gate (`ci.sh`) builds them
-//! with `--all-features` clippy so they stay warning-clean, but only runs
-//! them when asked (`cargo test --features heavy-tests`).
-#![cfg(feature = "heavy-tests")]
 
 use ow_kernel::fs::Fs;
 use ow_kernel::kheap::KHeap;

@@ -204,7 +204,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "heavy-tests")]
     #[test]
     fn sliced_paths_match_reference_up_to_64_kib() {
         let mut rng = SimRng::seed_from_u64(0xc4c3_2004);

@@ -1,4 +1,4 @@
-//! Generic corruption property test (heavy-tests only).
+//! Generic corruption property test.
 //!
 //! For every canonical sample and a few hundred deterministic random byte
 //! flips each, the codec must uphold the crash kernel's §4 contract:
@@ -10,9 +10,6 @@
 //!   re-encode/re-decode is a fixed point — a flipped byte may be visible
 //!   in the decoded value, but it must never parse as a *different* valid
 //!   value that then drifts further on the next round trip.
-//!
-//! Run with `cargo test -p ow-layout --features heavy-tests`.
-#![cfg(feature = "heavy-tests")]
 
 use ow_layout::samples::{samples, SAMPLE_FRAMES};
 use ow_simhw::{PhysMem, SimRng};

@@ -135,9 +135,11 @@ mod tests {
     #[test]
     fn context_save_load_round_trip() {
         let mut phys = PhysMem::new(1);
-        let mut ctx = Context::default();
-        ctx.pc = 0x1234;
-        ctx.sp = 0x8000;
+        let mut ctx = Context {
+            pc: 0x1234,
+            sp: 0x8000,
+            ..Context::default()
+        };
         ctx.regs[3] = 99;
         ctx.save(&mut phys, 64, 7).unwrap();
         let (pid, got) = Context::load(&phys, 64).unwrap().unwrap();

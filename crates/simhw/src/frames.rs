@@ -129,31 +129,6 @@ impl FrameAllocator {
         self.used[self.index_of(pfn)]
     }
 
-    /// Grows the managed range to cover frames `base .. new_end` (morphing:
-    /// the crash kernel adopts the rest of RAM). Newly covered frames start
-    /// free unless marked.
-    pub fn grow_to(&mut self, new_end: Pfn) {
-        let want = (new_end - self.base) as usize;
-        if want > self.used.len() {
-            self.used.resize(want, false);
-        }
-    }
-
-    /// Extends the low end of the range down to `new_base` (frames below the
-    /// current base become managed and free).
-    pub fn grow_down_to(&mut self, new_base: Pfn) {
-        assert!(new_base <= self.base);
-        let extra = (self.base - new_base) as usize;
-        if extra == 0 {
-            return;
-        }
-        let mut used = vec![false; extra];
-        used.append(&mut self.used);
-        self.used = used;
-        self.base = new_base;
-        self.cursor = 0;
-    }
-
     fn index_of(&self, pfn: Pfn) -> usize {
         // ow-lint: allow(recovery-panic) -- documented # Panics contract: out-of-range frame is a substrate bug
         assert!(
@@ -209,21 +184,6 @@ mod tests {
         }
         assert_ne!(run, f0);
         assert!(a.alloc_contiguous(5).is_none());
-    }
-
-    #[test]
-    fn grow_adopts_new_range() {
-        let mut a = FrameAllocator::new(4, 2);
-        a.grow_to(10);
-        assert_eq!(a.capacity(), 6);
-        a.grow_down_to(0);
-        assert_eq!(a.capacity(), 10);
-        assert_eq!(a.base(), 0);
-        // All ten frames should now be allocatable.
-        for _ in 0..10 {
-            assert!(a.alloc().is_some());
-        }
-        assert!(a.alloc().is_none());
     }
 
     #[test]

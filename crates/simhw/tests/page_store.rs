@@ -1,6 +1,5 @@
 //! `PhysMem` and `BlockDevice` against a flat `Vec<u8>` on a few seeded
-//! random operation sequences; `properties.rs` runs the long sweep under
-//! `heavy-tests`.
+//! random operation sequences; `properties.rs` runs the long sweep.
 
 mod oracle;
 

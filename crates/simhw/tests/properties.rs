@@ -1,11 +1,5 @@
 //! Property-based tests for the hardware substrate, driven by the vendored
 //! [`SimRng`] instead of proptest so they run fully offline.
-//!
-//! Gated behind the off-by-default `heavy-tests` feature: these are the
-//! slow, many-cases sweeps. The tier-1 offline gate (`ci.sh`) builds them
-//! with `--all-features` clippy so they stay warning-clean, but only runs
-//! them when asked (`cargo test --features heavy-tests`).
-#![cfg(feature = "heavy-tests")]
 
 mod oracle;
 
@@ -164,7 +158,7 @@ fn tagged_translation_matches_flush_always_oracle() {
             match rng.gen_range(0u32..8) {
                 // Map or remap, then apply the ranged-invalidation rule the
                 // kernel follows after any PTE rewrite.
-                0 | 1 | 2 => {
+                0..=2 => {
                     let pfn = rng.gen_range(1u64..512);
                     let mut flags = PteFlags::USER;
                     if rng.gen_bool(0.75) {

@@ -4,12 +4,6 @@
 //! pages it contains, and under either page-materialization strategy.
 //! Driven by the vendored [`SimRng`] instead of proptest so it runs fully
 //! offline.
-//!
-//! Gated behind the off-by-default `heavy-tests` feature: these are the
-//! slow, many-cases sweeps. The tier-1 offline gate (`ci.sh`) builds them
-//! with `--all-features` clippy so they stay warning-clean, but only runs
-//! them when asked (`cargo test --features heavy-tests`).
-#![cfg(feature = "heavy-tests")]
 
 use otherworld::core::{microreboot, OtherworldConfig, ResurrectionStrategy};
 use otherworld::kernel::program::{Program, ProgramRegistry, StepResult, UserApi};
